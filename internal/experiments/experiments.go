@@ -327,8 +327,9 @@ func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, l
 	}
 	// Column units (DESIGN.md §15): each (benchmark, policy) pair's size
 	// column runs as one multisim kernel pass when the policy is
-	// eligible (dm and de here; opt needs the whole stream per geometry
-	// and stays per-cell). The figure numbers are identical either way.
+	// eligible (dm and de here; opt needs the whole stream before its
+	// first decision and stays per-cell). The figure numbers are
+	// identical either way.
 	var groups []engine.Group
 	if w.cfg.columns() && len(sizes) >= 2 {
 		stride := len(names) * len(pols)

@@ -10,35 +10,40 @@
 //
 // Because these simulators need the future, they run over a materialized
 // reference slice in two passes: a backward pass computing each
-// reference's next-use distance, then a forward simulation.
+// reference's next use, then a forward simulation. The backward pass
+// depends only on the line size, and both simulators share it.
 package opt
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
-// infinity marks a reference whose block is never used again.
-const infinity = math.MaxInt64
+// MaxRefs is the longest stream the simulators accept: stream positions
+// are int32, which halves the next-use array against int64.
+const MaxRefs = math.MaxInt32
 
-// nextUses returns, for every position i, the next position at which
-// refs[i]'s block is referenced again (infinity if never). Blocks are
-// geom-sized.
-func nextUses(refs []trace.Ref, geom cache.Geometry) []int64 {
-	next := make([]int64, len(refs))
-	last := make(map[uint64]int64, 1024)
-	for i := len(refs) - 1; i >= 0; i-- {
-		b := geom.Block(refs[i].Addr)
-		if j, ok := last[b]; ok {
-			next[i] = j
-		} else {
-			next[i] = infinity
-		}
-		last[b] = int64(i)
+const (
+	// never is the next use of a reference whose block is not referenced
+	// again. It is above every position of a stream of at most MaxRefs.
+	never = math.MaxInt32
+	// inRun marks a reference the §6 last-line buffer serves: it repeats
+	// the block of the reference before it.
+	inRun = -1
+)
+
+// CheckLen reports whether a stream of n references fits the
+// simulators' int32 positions. The simulators panic on a longer stream;
+// callers that take streams from outside check first.
+func CheckLen(n int) error {
+	if n > MaxRefs {
+		return fmt.Errorf("opt: stream of %d references exceeds the %d-reference limit", n, MaxRefs)
 	}
-	return next
+	return nil
 }
 
 // SimulateDM runs the optimal direct-mapped cache with bypass over refs.
@@ -58,116 +63,219 @@ func SimulateDM(refs []trace.Ref, geom cache.Geometry, useLastLine bool) cache.S
 // snapshot). warmup 0 reproduces SimulateDM exactly.
 func SimulateDMWindow(refs []trace.Ref, geom cache.Geometry, useLastLine bool, warmup int) cache.Stats {
 	geom.Ways = 1
-	if err := geom.Validate(); err != nil {
-		panic("opt: " + err.Error())
-	}
-	if warmup < 0 {
-		warmup = 0
-	}
-	var stats cache.Stats
-	// count records the outcome of the reference at original stream
-	// position pos, discarding warmup-window events.
-	count := func(pos int, r cache.Result, evicted bool) {
-		if pos >= warmup {
-			stats.Record(r, evicted)
-		}
-	}
-
-	work := refs
-	var orig []int // work index -> original refs index (nil = identity)
-	if useLastLine {
-		// Collapse runs of same-line references: the in-run references
-		// are unconditional buffer hits; only run heads reach the cache.
-		work = make([]trace.Ref, 0, len(refs))
-		orig = make([]int, 0, len(refs))
-		haveLast := false
-		var last uint64
-		for i, r := range refs {
-			b := geom.Block(r.Addr)
-			if haveLast && b == last {
-				count(i, cache.Hit, false)
-				continue
-			}
-			haveLast = true
-			last = b
-			work = append(work, r)
-			orig = append(orig, i)
-		}
-	}
-
-	next := nextUses(work, geom)
-	nsets := geom.Sets()
-	resBlock := make([]uint64, nsets)
-	resNext := make([]int64, nsets)
-	valid := make([]bool, nsets)
-
-	for i, r := range work {
-		pos := i
-		if orig != nil {
-			pos = orig[i]
-		}
-		b := geom.Block(r.Addr)
-		set := b % nsets
-		if valid[set] && resBlock[set] == b {
-			resNext[set] = next[i]
-			count(pos, cache.Hit, false)
-			continue
-		}
-		switch {
-		case !valid[set]:
-			valid[set] = true
-			resBlock[set] = b
-			resNext[set] = next[i]
-			count(pos, cache.MissFill, false)
-		case next[i] < resNext[set]:
-			// The newcomer is needed sooner: replace.
-			resBlock[set] = b
-			resNext[set] = next[i]
-			count(pos, cache.MissFill, true)
-		default:
-			// The resident is needed sooner (or equally late): bypass.
-			count(pos, cache.MissBypass, false)
-		}
-	}
-	return stats
+	lineShift, setMask := shape(geom, len(refs))
+	warmup = max(0, min(warmup, len(refs)))
+	next := nextUse(refs, lineShift, useLastLine)
+	lines := make([]resident, setMask+1)
+	decideDM(refs[:warmup], next[:warmup], lines, lineShift, setMask)
+	return decideDM(refs[warmup:], next[warmup:], lines, lineShift, setMask).stats()
 }
 
 // SimulateSetAssoc runs Belady-optimal replacement with bypass on an
 // n-way set-associative cache (Ways = 0 means fully associative). Used by
 // the related-work comparisons.
 func SimulateSetAssoc(refs []trace.Ref, geom cache.Geometry) cache.Stats {
+	lineShift, setMask := shape(geom, len(refs))
+	nways := geom.WaysPerSet()
+	ways := make([]resident, int(setMask+1)*nways)
+	next := nextUse(refs, lineShift, false)
+	return decideSetAssoc(refs, next, ways, nways, lineShift, setMask).stats()
+}
+
+// MissRateDM is a convenience wrapper returning just the miss rate of the
+// optimal direct-mapped cache.
+func MissRateDM(refs []trace.Ref, geom cache.Geometry, useLastLine bool) float64 {
+	return SimulateDM(refs, geom, useLastLine).MissRate()
+}
+
+// shape validates geom and the stream length n, panicking on either,
+// and returns the address math both passes use: block = addr >>
+// lineShift and set = block & setMask. A validated geometry has
+// power-of-two line and set counts, so these equal the divisions of
+// cache.Geometry's Block and Set.
+func shape(geom cache.Geometry, n int) (lineShift uint, setMask uint64) {
 	if err := geom.Validate(); err != nil {
 		panic("opt: " + err.Error())
 	}
-	next := nextUses(refs, geom)
-	nsets := geom.Sets()
-	ways := geom.WaysPerSet()
-	type slot struct {
-		block uint64
-		next  int64
-		valid bool
+	if err := CheckLen(n); err != nil {
+		panic(err.Error())
 	}
-	sets := make([][]slot, nsets)
-	backing := make([]slot, int(nsets)*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways:ways], backing[ways:]
-	}
+	return uint(bits.TrailingZeros64(geom.LineSize)), geom.Sets() - 1
+}
 
-	var stats cache.Stats
-	for i, r := range refs {
-		b := geom.Block(r.Addr)
-		set := sets[b%nsets]
-		hitIdx := -1
+// nextUse is the backward pass: for every position i it returns the
+// position of the next reference to refs[i]'s block, or never.
+//
+// With lastLine it also performs the §6 last-line collapse in place. A
+// reference to the same block as the one before it is a buffer hit with
+// no replacement decision: it is marked inRun and never enters the
+// table, so each run head's next use is the next run head of its block,
+// by original position. Original positions keep the order the collapsed
+// stream's indices would have, so every comparison of next uses (ties
+// included) decides as it would over a collapsed copy.
+func nextUse(refs []trace.Ref, lineShift uint, lastLine bool) []int32 {
+	next := make([]int32, len(refs))
+	t := newLastSeen()
+	for i := len(refs) - 1; i >= 0; i-- {
+		b := refs[i].Addr >> lineShift
+		if lastLine && i > 0 && refs[i-1].Addr>>lineShift == b {
+			next[i] = inRun
+			continue
+		}
+		next[i] = t.swap(b, int32(i))
+	}
+	return next
+}
+
+// fibMul is 2^64 divided by the golden ratio. Multiplying by it and
+// keeping the top bits spreads consecutive block numbers (code runs,
+// array walks) evenly over the table.
+const fibMul = 0x9E3779B97F4A7C15
+
+// minSlotsLog2 sizes a fresh table: 1024 slots, 16 KiB.
+const minSlotsLog2 = 10
+
+// lastSeen maps each block to the position the backward pass last saw
+// it at: a flat linear-probing table with power-of-two slots, a
+// multiplicative hash, and at most three quarters of the slots in use.
+// It holds one slot per distinct block, so its size is bounded by the
+// stream length.
+type lastSeen struct {
+	slots []seenSlot
+	shift uint // 64 - log2(len(slots)); the hash keeps the top bits
+	used  int
+}
+
+// seenSlot packs a block with its position. The position is stored plus
+// one so that the zero slot is the empty one; no block value is
+// reserved, so block 0 and block 2^64-1 are keys like any other.
+type seenSlot struct {
+	block uint64
+	pos1  int32
+}
+
+func newLastSeen() lastSeen {
+	return lastSeen{slots: make([]seenSlot, 1<<minSlotsLog2), shift: 64 - minSlotsLog2}
+}
+
+// swap records pos as block's position and returns the position it
+// replaces, or never at the block's first sighting.
+func (t *lastSeen) swap(block uint64, pos int32) int32 {
+	mask := uint64(len(t.slots) - 1)
+	for h := block * fibMul >> t.shift; ; h = (h + 1) & mask {
+		s := &t.slots[h]
+		if s.pos1 == 0 {
+			*s = seenSlot{block: block, pos1: pos + 1}
+			if t.used++; 4*t.used > 3*len(t.slots) {
+				t.grow()
+			}
+			return never
+		}
+		if s.block == block {
+			prev := s.pos1 - 1
+			s.pos1 = pos + 1
+			return prev
+		}
+	}
+}
+
+// grow doubles the table and reinserts every block.
+func (t *lastSeen) grow() {
+	old := t.slots
+	t.slots = make([]seenSlot, 2*len(old))
+	t.shift--
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.pos1 == 0 {
+			continue
+		}
+		h := s.block * fibMul >> t.shift
+		for t.slots[h].pos1 != 0 {
+			h = (h + 1) & mask
+		}
+		t.slots[h] = s
+	}
+}
+
+// resident is one cache line of the forward pass: the block it holds
+// and that block's next use.
+type resident struct {
+	block uint64
+	next  int32
+	valid bool
+}
+
+// tally counts a forward pass's outcomes.
+type tally struct{ hits, fills, bypasses, evictions uint64 }
+
+func (c tally) stats() cache.Stats {
+	misses := c.fills + c.bypasses
+	return cache.Stats{
+		Accesses:  c.hits + misses,
+		Hits:      c.hits,
+		Misses:    misses,
+		Fills:     c.fills,
+		Bypasses:  c.bypasses,
+		Evictions: c.evictions,
+	}
+}
+
+// decideDM is the forward pass of the optimal direct-mapped cache: it
+// runs refs, whose next uses are next, through lines (one per set) and
+// tallies the outcomes. lines carries over between calls, so a warmup
+// prefix and the window after it are two calls.
+//
+//dynexcheck:hot
+func decideDM(refs []trace.Ref, next []int32, lines []resident, lineShift uint, setMask uint64) tally {
+	var c tally
+	next = next[:len(refs)]
+	for i := range refs {
+		nx := next[i]
+		if nx == inRun {
+			c.hits++
+			continue
+		}
+		b := refs[i].Addr >> lineShift
+		l := &lines[b&setMask]
+		switch {
+		case l.valid && l.block == b:
+			l.next = nx
+			c.hits++
+		case !l.valid:
+			*l = resident{block: b, next: nx, valid: true}
+			c.fills++
+		case nx < l.next:
+			// The newcomer is needed sooner: replace.
+			l.block, l.next = b, nx
+			c.fills++
+			c.evictions++
+		default:
+			// The resident is needed sooner (or equally late): bypass.
+			c.bypasses++
+		}
+	}
+	return c
+}
+
+// decideSetAssoc is the forward pass of the optimal set-associative
+// cache: ways holds nways residents per set, set after set.
+//
+//dynexcheck:hot
+func decideSetAssoc(refs []trace.Ref, next []int32, ways []resident, nways int, lineShift uint, setMask uint64) tally {
+	var c tally
+	next = next[:len(refs)]
+refs:
+	for i := range refs {
+		nx := next[i]
+		b := refs[i].Addr >> lineShift
+		base := int(b&setMask) * nways
+		set := ways[base : base+nways]
 		for w := range set {
 			if set[w].valid && set[w].block == b {
-				hitIdx = w
-				break
+				set[w].next = nx
+				c.hits++
+				continue refs
 			}
-		}
-		if hitIdx >= 0 {
-			set[hitIdx].next = next[i]
-			stats.Record(cache.Hit, false)
-			continue
 		}
 		empty, worst := -1, -1
 		for w := range set {
@@ -181,21 +289,16 @@ func SimulateSetAssoc(refs []trace.Ref, geom cache.Geometry) cache.Stats {
 		}
 		switch {
 		case empty >= 0:
-			set[empty] = slot{block: b, next: next[i], valid: true}
-			stats.Record(cache.MissFill, false)
-		case next[i] < set[worst].next:
+			set[empty] = resident{block: b, next: nx, valid: true}
+			c.fills++
+		case nx < set[worst].next:
 			// The newcomer is needed before the farthest-future resident.
-			set[worst] = slot{block: b, next: next[i], valid: true}
-			stats.Record(cache.MissFill, true)
+			set[worst] = resident{block: b, next: nx, valid: true}
+			c.fills++
+			c.evictions++
 		default:
-			stats.Record(cache.MissBypass, false)
+			c.bypasses++
 		}
 	}
-	return stats
-}
-
-// MissRateDM is a convenience wrapper returning just the miss rate of the
-// optimal direct-mapped cache.
-func MissRateDM(refs []trace.Ref, geom cache.Geometry, useLastLine bool) float64 {
-	return SimulateDM(refs, geom, useLastLine).MissRate()
+	return c
 }

@@ -117,13 +117,69 @@ func TestDynamicExclusionWithinTwoMissesOnPaperPatterns(t *testing.T) {
 func TestNextUses(t *testing.T) {
 	refs := []trace.Ref{{Addr: 0}, {Addr: 4}, {Addr: 0}, {Addr: 16}}
 	// 4B lines: blocks 0,1,0,4.
-	next := nextUses(refs, geomDM())
-	want := []int64{2, infinity, infinity, infinity}
+	next := nextUse(refs, 2, false)
+	want := []int32{2, never, never, never}
 	for i := range want {
 		if next[i] != want[i] {
 			t.Errorf("next[%d] = %d, want %d", i, next[i], want[i])
 		}
 	}
+}
+
+// TestNextUsesLastLine checks the in-place §6 collapse: in-run
+// references are marked, and each run head points at the next run head
+// of its block by original position.
+func TestNextUsesLastLine(t *testing.T) {
+	// 16B lines: blocks 0,0,1,1,0,2,0,0.
+	var refs []trace.Ref
+	for _, a := range []uint64{0, 4, 16, 20, 8, 32, 0, 12} {
+		refs = append(refs, trace.Ref{Addr: a})
+	}
+	next := nextUse(refs, 4, true)
+	want := []int32{4, inRun, never, inRun, 6, never, never, inRun}
+	for i := range want {
+		if next[i] != want[i] {
+			t.Errorf("next[%d] = %d, want %d", i, next[i], want[i])
+		}
+	}
+}
+
+// TestLastSeenGrowth drives the table through several doublings with
+// keys that share their low bits, and checks every position survives.
+func TestLastSeenGrowth(t *testing.T) {
+	tab := newLastSeen()
+	const n = 5000
+	for i := int32(0); i < n; i++ {
+		if got := tab.swap(uint64(i)<<40, i); got != never {
+			t.Fatalf("first sighting of key %d returned %d", i, got)
+		}
+	}
+	if tab.used != n || 4*tab.used > 3*len(tab.slots) {
+		t.Fatalf("table of %d slots holds %d keys; want %d keys at most three quarters full", len(tab.slots), tab.used, n)
+	}
+	for i := int32(0); i < n; i++ {
+		if got := tab.swap(uint64(i)<<40, n+i); got != i {
+			t.Fatalf("key %d: swap returned %d, want %d", i, got, i)
+		}
+	}
+}
+
+// TestCheckLen pins the int32 position limit without materializing a
+// stream that long: the simulators panic past it, and policy callers
+// get the error first.
+func TestCheckLen(t *testing.T) {
+	if err := CheckLen(MaxRefs); err != nil {
+		t.Errorf("CheckLen(MaxRefs) = %v, want nil", err)
+	}
+	if err := CheckLen(MaxRefs + 1); err == nil {
+		t.Error("CheckLen(MaxRefs+1) = nil, want an error")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic on a stream longer than MaxRefs")
+		}
+	}()
+	shape(geomDM(), MaxRefs+1)
 }
 
 func TestLastLineCollapsesSequentialRefs(t *testing.T) {

@@ -14,12 +14,14 @@ import (
 // Outcomes follow the order of sizes.
 //
 // Eligibility (DESIGN.md §15): dm, de (any option set), lru, and fifo
-// columns are kernel-backed. opt needs the whole future of the stream
-// per geometry, and victim / stream / de-stream carry auxiliary-buffer
-// state whose traffic depends on each cell's own miss sequence, so
-// those families fall back to cell-by-cell simulation. A column whose
-// member geometries do not all validate is also ineligible, so the
-// per-cell path surfaces the construction error for the right cell.
+// columns are kernel-backed. opt needs the whole stream before its
+// first decision (its next-use pass depends only on the line size, but
+// a column kernel decides reference by reference), and victim / stream
+// / de-stream carry auxiliary-buffer state whose traffic depends on
+// each cell's own miss sequence, so those families fall back to
+// cell-by-cell simulation. A column whose member geometries do not all
+// validate is also ineligible, so the per-cell path surfaces the
+// construction error for the right cell.
 func (s Spec) Column(line uint64, sizes []uint64) (func() (engine.Column, error), bool) {
 	ways := 1
 	switch s.family {

@@ -131,10 +131,14 @@ func (o *optSim) Access(uint64) cache.Result {
 func (o *optSim) Stats() cache.Stats { return cache.Stats{} }
 
 // SimulateWindow implements WindowDirect via opt.SimulateDMWindow. The
-// geometry was validated at Build, so the call cannot panic.
+// geometry was validated at Build and the stream length is checked
+// here, so the call cannot panic.
 func (o *optSim) SimulateWindow(refs []trace.Ref, warmup int) (cache.Stats, error) {
 	if warmup < 0 || (warmup > 0 && warmup >= len(refs)) {
 		return cache.Stats{}, fmt.Errorf("policy: bad warmup %d for %d references", warmup, len(refs))
+	}
+	if err := opt.CheckLen(len(refs)); err != nil {
+		return cache.Stats{}, fmt.Errorf("policy: %w", err)
 	}
 	return opt.SimulateDMWindow(refs, o.geom, o.lastLine, warmup), nil
 }
