@@ -46,10 +46,11 @@ bench:
 # feeds 50 direct-mapped geometry cells, and each 10-cell power-of-two
 # size column retires in a single stream pass, so the sweep is priced
 # at roughly one decode per reference per (line, policy) pair instead
-# of one pass per cell. Run the same command with -multisim=off for
-# the per-cell batch-kernel baseline (~190M refs/sec on the reference
-# box; BENCH_8's 16-cell mixed-policy grid recorded ~157M). CI's
-# bench-smoke job runs the same target and asserts the JSON parses.
+# of one pass per cell. Run cell by cell on the batch kernels, the
+# same grid measured ~190M refs/sec on the reference box (BENCH_8's
+# 16-cell mixed-policy grid recorded ~157M); `go test -bench Column
+# ./internal/policy` compares the two per layer. CI's bench-smoke job
+# runs the same target and asserts the JSON parses.
 bench-report:
 	go run ./cmd/dynex-sweep -bench gcc -refs 2000000 \
 		-sizes 1024,2048,4096,8192,16384,32768,65536,131072,262144,524288 \

@@ -17,9 +17,9 @@
 // JSON covering every simulation cell the experiments scheduled,
 // -trace-events logs structured JSONL run events (one annotation per
 // experiment plus the engine's cell events; summarize with
-// `dynex-sweep -trace-summary`), and -debug-addr serves expvar counters
-// and pprof profiles so a multi-hour regeneration can be profiled
-// mid-flight. Telemetry never changes stdout.
+// `dynex-sweep -trace-summary`), and -debug-addr serves Prometheus
+// metrics, expvar counters and pprof profiles so a multi-hour
+// regeneration can be profiled mid-flight. Telemetry never changes stdout.
 package main
 
 import (
@@ -82,15 +82,9 @@ func run(ctx context.Context) (err error) {
 		ckptPath   = flag.String("checkpoint", "", "journal finished experiments to this file and resume from it")
 		reportPath = flag.String("report", "", "write a machine-readable RunReport JSON to this file")
 		traceFile  = flag.String("trace-events", "", "write a structured JSONL event log of the run to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060) during the run")
-		multisim   = flag.String("multisim", "auto", "single-pass size-column kernels for the sweep figures: auto, on, or off (figure output is identical either way; see DESIGN.md §15)")
+		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060) during the run")
 	)
 	flag.Parse()
-	switch *multisim {
-	case "auto", "on", "off":
-	default:
-		return fmt.Errorf("bad -multisim %q: want auto, on, or off", *multisim)
-	}
 
 	if *list {
 		for _, r := range experiments.Registry() {
@@ -172,7 +166,7 @@ func run(ctx context.Context) (err error) {
 			strconv.Itoa(*refs), strconv.FormatInt(*seed, 10))
 	}
 
-	w := experiments.NewWorkloads(experiments.Config{Refs: *refs, SeedOffset: *seed, Workers: *workers, Collector: engCol, Ctx: ctx, Multisim: *multisim})
+	w := experiments.NewWorkloads(experiments.Config{Refs: *refs, SeedOffset: *seed, Workers: *workers, Collector: engCol, Ctx: ctx})
 	// runExperiment wraps one experiment with telemetry annotations.
 	runExperiment := func(r experiments.Runner) fmt.Stringer {
 		if col != nil {

@@ -16,20 +16,20 @@
 // without re-simulating them — the resumed CSV is byte-identical to an
 // uninterrupted run's.
 //
-// Geometry-heavy sweeps ride the single-pass fast path (-multisim,
-// default auto): every power-of-two size column sharing one (benchmark,
-// line, policy) triple is simulated by a single internal/multisim column
-// kernel in one pass over the stream, while ineligible cells fall back
-// to cell-by-cell simulation (DESIGN.md §15). The CSV and the
-// checkpoint journal records are byte-identical to -multisim=off.
+// Geometry-heavy sweeps ride the single-pass fast path: every
+// power-of-two size column sharing one (benchmark, line, policy) triple
+// is simulated by a single internal/multisim column kernel in one pass
+// over the stream, while ineligible cells run cell by cell on their
+// batch kernels (DESIGN.md §15). The CSV and the checkpoint journal
+// records are byte-identical to a cell-by-cell run of the same grid.
 //
 // The sweep is instrumented (DESIGN.md §8): -report writes a machine-
 // readable RunReport (throughput, percentile cell latencies, retry/panic/
 // timeout counts, checkpoint savings), -trace-events logs structured
 // JSONL run events replayable with -trace-summary, -progress shows rate
-// and ETA, and -debug-addr serves expvar counters and pprof profiles for
-// watching a long sweep mid-flight. Telemetry never touches stdout: the
-// CSV is byte-identical with and without it.
+// and ETA, and -debug-addr serves Prometheus metrics, expvar counters
+// and pprof profiles for watching a long sweep mid-flight. Telemetry
+// never touches stdout: the CSV is byte-identical with and without it.
 //
 // Examples:
 //
@@ -94,13 +94,11 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxFailures = fs.Int("max-failures", 0, "abort the sweep after this many cell failures (0 = finish regardless)")
 		retries     = fs.Int("retries", 0, "re-run transiently failing cells up to this many extra times")
 		cellTimeout = fs.Duration("cell-timeout", 0, "wall-clock budget per cell attempt (0 = none)")
-		scalarOnly  = fs.Bool("scalar", false, "disable the BatchAccess fast path; drive every simulator one Access at a time (CSV must be byte-identical)")
-		multisim    = fs.String("multisim", "auto", "single-pass size-column kernels: auto, on, or off (CSV must be byte-identical either way; see DESIGN.md §15)")
 		inject      = fs.String("inject", "", "fault injection for testing: stream-fail=N or panic=SUBSTR")
 		reportPath  = fs.String("report", "", "write a machine-readable RunReport JSON to this file")
 		traceFile   = fs.String("trace-events", "", "write a structured JSONL event log of the run to this file")
 		traceSum    = fs.String("trace-summary", "", "summarize an event log written by -trace-events and exit")
-		debugAddr   = fs.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060) during the sweep")
+		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060) during the sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -155,22 +153,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// -multisim resolves to a boolean here: auto means on, unless -scalar
-	// asked for the pure one-Access-at-a-time path (columns are batch
-	// kernels, so they cannot honor it). Forcing both is contradictory.
-	var useColumns bool
-	switch *multisim {
-	case "auto":
-		useColumns = !*scalarOnly
-	case "on":
-		if *scalarOnly {
-			return fmt.Errorf("-multisim=on and -scalar are mutually exclusive")
-		}
-		useColumns = true
-	case "off":
-	default:
-		return fmt.Errorf("bad -multisim %q: want auto, on, or off", *multisim)
-	}
 
 	var benchNames []string
 	if *suite {
@@ -209,9 +191,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	cells, fps := plan.Cells, plan.FPs
 	for i := range cells {
-		if *scalarOnly {
-			forceScalar(&cells[i])
-		}
 		if injectPanic != "" && strings.Contains(cells[i].Label, injectPanic) {
 			injectCellPanic(&cells[i])
 		}
@@ -344,14 +323,11 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// cell-by-cell path. Panic-injected cells stay per-cell: the
 	// injection wraps the cell's own simulator, which a column kernel
 	// never constructs, so grouping them would un-inject the fault.
-	var groups []engine.Group
-	if useColumns {
-		var skip func(int) bool
-		if injectPanic != "" {
-			skip = func(pi int) bool { return strings.Contains(cells[pi].Label, injectPanic) }
-		}
-		groups = plan.Partition(pendIdx, skip)
+	var skip func(int) bool
+	if injectPanic != "" {
+		skip = func(pi int) bool { return strings.Contains(cells[pi].Label, injectPanic) }
 	}
+	groups := plan.Partition(pendIdx, skip)
 
 	// A typed-nil *Collector must not become a non-nil interface.
 	var engCol engine.Collector
@@ -420,25 +396,6 @@ func parseInject(s string) (streamFail int, panicSubstr string, err error) {
 		}
 	}
 	return 0, "", fmt.Errorf("bad -inject %q: want stream-fail=N or panic=SUBSTR", s)
-}
-
-// forceScalar strips the BatchAccess fast path from a policy cell
-// (cache.ScalarOnly), so the engine drives the simulator one Access per
-// reference. The -scalar CSV must be byte-identical to the batched one —
-// CI's bench-smoke job diffs the two per registered policy. Direct
-// (whole-stream) cells have no Access path to strip.
-func forceScalar(cell *engine.Cell) {
-	if cell.Policy == nil {
-		return
-	}
-	inner := cell.Policy
-	cell.Policy = func(g cache.Geometry) (cache.Simulator, error) {
-		sim, err := inner(g)
-		if err != nil {
-			return nil, err
-		}
-		return cache.ScalarOnly(sim), nil
-	}
 }
 
 // injectCellPanic rewires a cell so its simulation panics — the

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
@@ -64,27 +66,32 @@ func TestSweepResumeByteIdentity(t *testing.T) {
 }
 
 // TestSweepScalarByteIdentity pins the batch fast path at the CLI
-// surface: -scalar strips BatchAccess from every policy cell, and the
-// resulting CSV must be byte-identical to the batched sweep across every
-// registered policy name — the same check CI's bench-smoke job runs.
+// surface: one cell per registered policy name, swept on the batch
+// kernels, is byte-identical to an in-process per-cell run of the same
+// plan with cache.ScalarOnly stripping BatchAccess from every
+// simulator, so it is driven one Access at a time.
 func TestSweepScalarByteIdentity(t *testing.T) {
-	out, _, err := runSweep(t, "-list-policies")
-	if err != nil {
-		t.Fatalf("-list-policies: %v", err)
-	}
-	policies := strings.Join(strings.Fields(out), ",")
-	args := []string{"-bench", "gcc", "-refs", "30000", "-sizes", "4096", "-lines", "16", "-policies", policies}
-
-	batched, _, err := runSweep(t, args...)
+	pols := registryPolicies(t)
+	batched, _, err := runSweep(t, "-bench", "gcc", "-refs", "30000", "-sizes", "4096", "-lines", "16",
+		"-policies", strings.Join(pols, ","))
 	if err != nil {
 		t.Fatalf("batched run: %v", err)
 	}
-	scalar, _, err := runSweep(t, append(args, "-scalar")...)
-	if err != nil {
-		t.Fatalf("scalar run: %v", err)
-	}
+	scalar := perCellSweep(t, "gcc", 30000, []uint64{4096}, []uint64{16}, pols, "", func(c *engine.Cell) {
+		if c.Policy == nil {
+			return // Direct cells have no Access path to strip
+		}
+		inner := c.Policy
+		c.Policy = func(g cache.Geometry) (cache.Simulator, error) {
+			sim, err := inner(g)
+			if err != nil {
+				return nil, err
+			}
+			return cache.ScalarOnly(sim), nil
+		}
+	})
 	if batched != scalar {
-		t.Errorf("-scalar CSV differs from batched CSV:\n--- batched\n%s--- scalar\n%s", batched, scalar)
+		t.Errorf("batched CSV differs from scalar per-cell run:\n--- batched\n%s--- scalar\n%s", batched, scalar)
 	}
 }
 

@@ -153,8 +153,7 @@ func (c *SetAssoc) BatchAccess(refs []trace.Ref) BatchStats {
 // ScalarOnly returns sim stripped of any batched fast path: the wrapper
 // exposes exactly the scalar Simulator surface (plus Extras when sim is
 // Instrumented), so RunRefs and the engine drive it one Access at a
-// time. Differential tests and dynex-sweep's -scalar flag use it to pin
-// batch/scalar stat identity.
+// time. Differential tests use it to pin batch/scalar stat identity.
 func ScalarOnly(sim Simulator) Simulator {
 	if in, ok := sim.(Instrumented); ok {
 		return scalarInstrumented{in}

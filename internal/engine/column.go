@@ -12,15 +12,18 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the engine's column-unit surface. A column unit is one
-// schedulable piece of work that completes MANY cells at once: a
+// This file is the engine's unit runner. A unit is one schedulable
+// piece of work. A column unit completes MANY cells at once: a
 // single-pass multi-geometry kernel (internal/multisim) drives an
 // entire power-of-two size column over one traversal of the shared
-// reference stream. The engine's guarantees do not dilute: results,
-// Collector events, OnResult calls, retries, and panic attribution
-// remain per cell, and a run with column units produces a result table
-// indistinguishable from the cell-by-cell one (grid CSV and checkpoint
-// byte-identity are pinned by cmd/dynex-sweep's -multisim tests).
+// reference stream. Every other cell is a one-member unit (cellColumn)
+// driven by the same runner, so retries, deadlines, panic recovery and
+// Collector events have one implementation. The engine's guarantees do
+// not dilute: results, Collector events, OnResult calls, retries, and
+// panic attribution remain per cell, and a run with column units
+// produces a result table indistinguishable from the cell-by-cell one
+// (grid CSV and checkpoint byte-identity against a per-cell Run are
+// pinned by cmd/dynex-sweep's tests).
 
 // ColumnOutcome is one member cell's share of a column unit's single
 // pass: the full-stream Stats plus the policy-specific counters —
@@ -59,10 +62,10 @@ type Group struct {
 
 // RunGrouped is Run with column units: cells covered by a group are
 // simulated by that group's column kernel in one pass over the shared
-// stream, cells covered by no group run individually, and Results[i]
-// describes Cells[i] either way. Groups must reference distinct
-// in-range cells and carry a constructor; a malformed group set is an
-// error before anything runs. Progress counts cells, not units — a
+// stream, cells covered by no group run individually as one-member
+// units, and Results[i] describes Cells[i] either way. Groups must
+// reference distinct in-range cells and carry a constructor; a
+// malformed group set is an error before anything runs. Progress counts cells, not units — a
 // finishing column advances done by its member count in one serialized
 // callback, and done is computed under the same lock that orders the
 // callbacks, so consumers never observe counts moving backwards.
@@ -99,42 +102,30 @@ func RunGrouped(ctx context.Context, cells []Cell, groups []Group, opts Options)
 			opts.Progress(doneCells, len(cells))
 		}
 	}
-	// Groups are scheduled before singletons: they are the long poles,
-	// so starting them first keeps the pool busy at the tail of a sweep.
+	// Every unit — a group, or one ungrouped cell as a one-member unit —
+	// runs through runGroup. Groups are scheduled before singletons:
+	// they are the long poles, so starting them first keeps the pool
+	// busy at the tail of a sweep.
 	nUnits := len(groups) + len(singles)
 	parfor(nUnits, clampWorkers(opts.Workers, nUnits), func(u int) {
-		if u >= len(groups) {
-			i := singles[u-len(groups)]
-			if err := ctx.Err(); err != nil {
-				results[i] = Result{Label: cells[i].Label, Err: err}
-				return
-			}
-			var queueWait time.Duration
-			if opts.Collector != nil {
-				queueWait = time.Since(runStart)
-				opts.Collector.CellStarted(CellStart{Index: i, Label: cells[i].Label, QueueWait: queueWait})
-			}
-			results[i] = runCell(ctx, i, cells[i], opts)
-			if opts.Collector != nil {
-				r := results[i]
-				opts.Collector.CellFinished(CellFinish{
-					Index: i, Label: r.Label, QueueWait: queueWait, Wall: r.Wall,
-					Attempts: r.Attempts, Refs: r.Stats.Accesses,
-					Outcome: OutcomeOf(r.Err), Err: r.Err, Extras: r.Extras,
-				})
-			}
-			finish(i)
-			return
+		var (
+			indices   []int
+			newColumn func() (Column, error)
+		)
+		if u < len(groups) {
+			indices, newColumn = groups[u].Indices, groups[u].NewColumn
+		} else {
+			k := u - len(groups)
+			indices, newColumn = singles[k:k+1], newCellColumn(&cells[singles[k]])
 		}
-		g := groups[u]
 		if err := ctx.Err(); err != nil {
-			for _, i := range g.Indices {
+			for _, i := range indices {
 				results[i] = Result{Label: cells[i].Label, Err: err}
 			}
-			return // skipped cells are not reported, mirroring singletons
+			return // skipped cells are not reported
 		}
-		runGroup(ctx, g, cells, results, opts, runStart)
-		finish(g.Indices...)
+		runGroup(ctx, indices, newColumn, cells, results, opts, runStart)
+		finish(indices...)
 	})
 	return results, ctx.Err()
 }
@@ -169,16 +160,18 @@ func ungrouped(n int, groups []Group) ([]int, error) {
 	return singles, nil
 }
 
-// runGroup executes one column unit: every member cell starts together,
-// the kernel makes one pass over the shared stream, and each member
-// gets its own Result and Collector events. A recovered panic is
-// re-homed onto every member as its own *CellPanicError, so failures
-// attribute to individual cells even though the work was shared.
-func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts Options, runStart time.Time) {
+// runGroup executes one unit — the member cells at indices, simulated
+// by the columns newColumn builds — re-running transiently failing
+// attempts per opts.Retry: every member starts together, the kernel
+// makes one pass over the shared stream, and each member gets its own
+// Result and Collector events. A recovered panic is re-homed onto every
+// member as its own *CellPanicError, so failures attribute to
+// individual cells even though the work was shared.
+func runGroup(ctx context.Context, indices []int, newColumn func() (Column, error), cells []Cell, results []Result, opts Options, runStart time.Time) {
 	var queueWait time.Duration
 	if opts.Collector != nil {
 		queueWait = time.Since(runStart)
-		for _, i := range g.Indices {
+		for _, i := range indices {
 			opts.Collector.CellStarted(CellStart{Index: i, Label: cells[i].Label, QueueWait: queueWait})
 		}
 	}
@@ -190,11 +183,11 @@ func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts
 	)
 	for attempt := 1; ; attempt++ {
 		attemptStart := time.Now()
-		outs, err = attemptGroup(ctx, g, cells, opts.CellTimeout)
+		outs, err = attemptGroup(ctx, indices, newColumn, cells, opts.CellTimeout)
 		attempts = attempt
 		if opts.Collector != nil {
 			wall := time.Since(attemptStart)
-			for _, i := range g.Indices {
+			for _, i := range indices {
 				opts.Collector.CellAttempted(CellAttempt{
 					Index: i, Label: cells[i].Label, Attempt: attempt,
 					Wall: wall, Outcome: OutcomeOf(err), Err: err,
@@ -214,7 +207,7 @@ func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts
 	wall := time.Since(start)
 	var pe *CellPanicError
 	errors.As(err, &pe)
-	for k, i := range g.Indices {
+	for k, i := range indices {
 		r := Result{Label: cells[i].Label, Wall: wall, Attempts: attempts}
 		switch {
 		case err == nil:
@@ -236,11 +229,11 @@ func runGroup(ctx context.Context, g Group, cells []Cell, results []Result, opts
 	}
 }
 
-// attemptGroup runs one attempt of a column unit, recovering panics and
+// attemptGroup runs one attempt of a unit, recovering panics and
 // bounding the attempt by the per-cell timeout scaled to the member
 // count (a column does the work of that many cells in one unit).
-func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Duration) (outs []ColumnOutcome, err error) {
-	first := cells[g.Indices[0]]
+func attemptGroup(ctx context.Context, indices []int, newColumn func() (Column, error), cells []Cell, timeout time.Duration) (outs []ColumnOutcome, err error) {
+	first := cells[indices[0]]
 	defer func() {
 		if v := recover(); v != nil {
 			outs, err = nil, &CellPanicError{Label: first.Label, Value: v, Stack: debug.Stack()}
@@ -248,7 +241,7 @@ func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Durat
 	}()
 	var deadline time.Time
 	if timeout > 0 {
-		deadline = time.Now().Add(timeout * time.Duration(len(g.Indices)))
+		deadline = time.Now().Add(timeout * time.Duration(len(indices)))
 	}
 	var refs []trace.Ref
 	if first.Stream != nil {
@@ -259,9 +252,16 @@ func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Durat
 	if err := stepErr(ctx, deadline); err != nil {
 		return nil, err
 	}
-	col, err := g.NewColumn()
+	col, err := newColumn()
 	if err != nil {
 		return nil, err
+	}
+	if u, ok := col.(*cellColumn); ok && u.sim == nil {
+		// A Direct cell simulates the whole stream in one call.
+		if u.stats, err = u.cell.Direct(refs, u.cell.Geometry); err != nil {
+			return nil, err
+		}
+		refs = nil
 	}
 	for len(refs) > 0 {
 		n := driveChunk
@@ -277,8 +277,8 @@ func attemptGroup(ctx context.Context, g Group, cells []Cell, timeout time.Durat
 		}
 	}
 	outs = col.Outcomes()
-	if len(outs) != len(g.Indices) {
-		return nil, fmt.Errorf("engine: column produced %d outcomes for %d member cells", len(outs), len(g.Indices))
+	if len(outs) != len(indices) {
+		return nil, fmt.Errorf("engine: column produced %d outcomes for %d member cells", len(outs), len(indices))
 	}
 	return outs, nil
 }

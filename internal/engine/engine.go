@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,38 +157,10 @@ func parfor(n, workers int, body func(i int)) {
 // returned slice always has len(cells) entries; inspect Result.Err per
 // cell. The returned error is ctx's error if the run was cancelled
 // mid-sweep, nil otherwise (per-cell failures do not abort the run).
-// Run is RunGrouped with no column units: every cell is its own unit.
+// Run is RunGrouped with no column units: every cell is a one-member
+// unit.
 func Run(ctx context.Context, cells []Cell, opts Options) ([]Result, error) {
 	return RunGrouped(ctx, cells, nil, opts)
-}
-
-// runCell executes one cell, re-running transiently failing attempts per
-// opts.Retry.
-func runCell(ctx context.Context, i int, c Cell, opts Options) Result {
-	start := time.Now()
-	var res Result
-	for attempt := 1; ; attempt++ {
-		attemptStart := time.Now()
-		res = attemptCell(ctx, c, opts.CellTimeout)
-		res.Attempts = attempt
-		if opts.Collector != nil {
-			opts.Collector.CellAttempted(CellAttempt{
-				Index: i, Label: c.Label, Attempt: attempt,
-				Wall: time.Since(attemptStart), Outcome: OutcomeOf(res.Err), Err: res.Err,
-			})
-		}
-		if res.Err == nil || attempt >= opts.Retry.Attempts ||
-			ctx.Err() != nil || errors.Is(res.Err, context.Canceled) ||
-			errors.Is(res.Err, context.DeadlineExceeded) ||
-			!opts.Retry.classify(res.Err) {
-			break
-		}
-		if sleepCtx(ctx, opts.Retry.delay(attempt)) != nil {
-			break // cancelled during backoff; keep the attempt's own error
-		}
-	}
-	res.Wall = time.Since(start)
-	return res
 }
 
 // driveChunk is the number of references simulated between cooperative
@@ -209,73 +180,43 @@ func stepErr(ctx context.Context, deadline time.Time) error {
 	return nil
 }
 
-// driveChunked drives sim over refs in driveChunk batches, checking ctx
-// and the deadline between batches.
-func driveChunked(ctx context.Context, sim cache.Simulator, refs []trace.Ref, deadline time.Time) error {
-	for len(refs) > 0 {
-		n := driveChunk
-		if n > len(refs) {
-			n = len(refs)
-		}
-		cache.RunRefs(sim, refs[:n])
-		refs = refs[n:]
-		if len(refs) > 0 {
-			if err := stepErr(ctx, deadline); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// cellColumn adapts one ungrouped cell to the Column contract, so the
+// unit runner (runGroup/attemptGroup) runs every cell, in a column or
+// not. A Policy cell drives its own simulator with cache.RunRefs — a
+// single cell keeps its BatchAccess kernel and never becomes a multisim
+// column. A Direct cell (sim == nil) needs the materialized stream up
+// front, so attemptGroup hands it the whole stream in one call.
+type cellColumn struct {
+	cell  *Cell
+	sim   cache.Simulator
+	stats cache.Stats // a Direct cell's outcome
 }
 
-// attemptCell runs one attempt of a cell, recovering panics into
-// *CellPanicError and bounding the attempt by timeout (0 = none).
-func attemptCell(ctx context.Context, c Cell, timeout time.Duration) (res Result) {
-	res.Label = c.Label
-	defer func() {
-		if v := recover(); v != nil {
-			res.Stats = cache.Stats{}
-			res.Err = &CellPanicError{Label: c.Label, Value: v, Stack: debug.Stack()}
+// newCellColumn returns the constructor of c's one-member unit, called
+// once per attempt like a column's.
+func newCellColumn(c *Cell) func() (Column, error) {
+	return func() (Column, error) {
+		switch {
+		case c.Policy != nil && c.Direct == nil:
+			sim, err := c.Policy(c.Geometry)
+			if err != nil {
+				return nil, err
+			}
+			return &cellColumn{cell: c, sim: sim}, nil
+		case c.Direct != nil && c.Policy == nil:
+			return &cellColumn{cell: c}, nil
 		}
-	}()
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
+		return nil, errNoPolicy
 	}
-	var refs []trace.Ref
-	if c.Stream != nil {
-		var err error
-		if refs, err = c.Stream(); err != nil {
-			res.Err = err
-			return res
-		}
+}
+
+func (u *cellColumn) Batch(refs []trace.Ref) { cache.RunRefs(u.sim, refs) }
+
+func (u *cellColumn) Outcomes() []ColumnOutcome {
+	if u.sim == nil {
+		return []ColumnOutcome{{Stats: u.stats}}
 	}
-	if err := stepErr(ctx, deadline); err != nil {
-		res.Err = err
-		return res
-	}
-	switch {
-	case c.Policy != nil && c.Direct == nil:
-		sim, err := c.Policy(c.Geometry)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		if err := driveChunked(ctx, sim, refs, deadline); err != nil {
-			res.Err = err
-			return res
-		}
-		res.Stats = sim.Stats()
-		res.Extras = cache.SnapshotExtras(sim)
-	case c.Direct != nil && c.Policy == nil:
-		res.Stats, res.Err = c.Direct(refs, c.Geometry)
-		if res.Err != nil {
-			res.Stats = cache.Stats{}
-		}
-	default:
-		res.Err = errNoPolicy
-	}
-	return res
+	return []ColumnOutcome{{Stats: u.sim.Stats(), Extras: cache.SnapshotExtras(u.sim)}}
 }
 
 // ForEach runs f(i) for every i in [0, n) across a bounded worker pool —

@@ -55,21 +55,37 @@ func NewSource(name string, load func() ([]trace.Ref, error)) Source {
 	}}
 }
 
+// CheckBenches reports the error BenchSources would for these names and
+// stream kind, without building any benchmark program — cheap enough to
+// run on untrusted job specs before admission.
+func CheckBenches(names []string, kind string) error {
+	switch kind {
+	case "instr", "data", "mixed":
+	default:
+		return fmt.Errorf("grid: unknown kind %q", kind)
+	}
+	known := make(map[string]bool)
+	for _, p := range spec.SuiteParams() {
+		known[p.Name] = true
+	}
+	for _, name := range names {
+		if !known[name] {
+			return fmt.Errorf("grid: unknown benchmark %q", name)
+		}
+	}
+	return nil
+}
+
 // BenchSources resolves suite benchmark names into grid sources for the
 // given stream kind and length. An unknown name or kind is an error
 // before any stream is synthesized.
 func BenchSources(names []string, kind string, refs int) ([]Source, error) {
-	switch kind {
-	case "instr", "data", "mixed":
-	default:
-		return nil, fmt.Errorf("grid: unknown kind %q", kind)
+	if err := CheckBenches(names, kind); err != nil {
+		return nil, err
 	}
 	sources := make([]Source, len(names))
 	for i, name := range names {
-		b, ok := spec.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("grid: unknown benchmark %q", name)
-		}
+		b, _ := spec.ByName(name)
 		sources[i] = NewSource(b.Name, func() ([]trace.Ref, error) {
 			switch kind {
 			case "instr":

@@ -9,11 +9,15 @@ import (
 // multisim column units plus a cell-by-cell remainder (DESIGN.md §15).
 // A column is every pending cell sharing one (source, line, policy)
 // triple across the plan's size axis; columns with fewer than two
-// members stay cell-by-cell (a one-cell column has nothing to share),
-// as do cells of column-ineligible policies (policy.Spec.Column decides)
-// and cells the caller's skip function excludes (nil skips nothing —
-// sweep and serve use it to keep fault-injected cells on the per-cell
-// path, where the injection wrapper actually runs).
+// members stay cell-by-cell, because a one-cell column has nothing to
+// share and measures slower than the cell's own batch kernel — per
+// reference at 32 KiB over the ten suite mixed streams, 1.4–1.6× for
+// dm, 1.1–1.3× for de and 1.7–1.8× for lru2, with fifo2 level (go test
+// -bench 'CellKernel|Column' ./internal/policy). Cells of
+// column-ineligible policies (policy.Spec.Column decides) and cells
+// the caller's skip function excludes stay cell-by-cell too (nil skips
+// nothing — sweep and serve use it to keep fault-injected cells on the
+// per-cell path, where the injection wrapper actually runs).
 //
 // pending holds plan indices (positions into p.Cells), in the order the
 // caller will hand the corresponding cells to engine.RunGrouped; the
@@ -21,8 +25,8 @@ import (
 // so the groups can be passed straight alongside the caller's pending
 // cell slice. Out-of-range pending entries are left ungrouped rather
 // than rejected. Partitioning changes scheduling only: fingerprints,
-// CSV row order, and per-cell results are the same either way, which
-// the -multisim byte-identity tests pin.
+// CSV row order, and per-cell results are those of a per-cell run,
+// which cmd/dynex-sweep's byte-identity tests pin.
 func (p Plan) Partition(pending []int, skip func(planIdx int) bool) []engine.Group {
 	nS, nL, nP := len(p.Spec.Sizes), len(p.Spec.Lines), len(p.Spec.Policies)
 	if nS < 2 || nL == 0 || nP == 0 {

@@ -3,12 +3,12 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -46,18 +46,15 @@ type JobSpec struct {
 // validate checks the spec against the server's admission caps without
 // synthesizing any stream — graceful degradation means an oversized or
 // malformed job is refused at the door with a clear error, not accepted
-// and half-run.
+// and half-run. Every cap is applied before any per-entry work, with an
+// overflow-checked cell count, so refusing a spec costs time in its
+// length, never in its grid's size.
 func (js JobSpec) validate(cfg Config) error {
 	if len(js.Benches) == 0 && js.Trace == "" {
 		return fmt.Errorf("job needs benches or a trace")
 	}
 	if len(js.Benches) > 0 && js.Trace != "" {
 		return fmt.Errorf("benches and trace are mutually exclusive")
-	}
-	for _, b := range js.Benches {
-		if _, ok := spec.ByName(b); !ok {
-			return fmt.Errorf("unknown benchmark %q", b)
-		}
 	}
 	if js.Trace != "" && !strings.HasPrefix(js.Trace, "trace:") {
 		return fmt.Errorf("trace handle %q must look like trace:<digest>", js.Trace)
@@ -72,9 +69,16 @@ func (js JobSpec) validate(cfg Config) error {
 	if js.Trace != "" {
 		nsrc = 1
 	}
-	cells := nsrc * len(js.Sizes) * len(js.Lines) * len(js.Policies)
-	if cells == 0 {
+	if len(js.Sizes) == 0 || len(js.Lines) == 0 || len(js.Policies) == 0 {
 		return fmt.Errorf("empty grid: sizes, lines, and policies must be non-empty")
+	}
+	cells := 1
+	for _, n := range []int{nsrc, len(js.Sizes), len(js.Lines), len(js.Policies)} {
+		if cells > math.MaxInt/n {
+			return fmt.Errorf("grid of %d×%d×%d×%d cells is too large",
+				nsrc, len(js.Sizes), len(js.Lines), len(js.Policies))
+		}
+		cells *= n
 	}
 	if cfg.MaxCells > 0 && cells > cfg.MaxCells {
 		return fmt.Errorf("grid has %d cells, server cap is %d", cells, cfg.MaxCells)
@@ -87,26 +91,31 @@ func (js JobSpec) validate(cfg Config) error {
 			return err
 		}
 	}
-	// Building the grid validates kind, geometries, and policy specs
-	// without materializing streams.
-	gs, err := js.gridSpec(nil)
-	if err != nil {
-		return err
+	if js.Trace == "" {
+		if err := grid.CheckBenches(js.Benches, js.kind()); err != nil {
+			return err
+		}
 	}
-	if _, err := gs.Build(); err != nil {
-		return err
+	// Building the grid over one stand-in source validates geometries
+	// and policy specs without building a program or a stream.
+	_, err := grid.Spec{Sources: make([]grid.Source, 1),
+		Sizes: js.Sizes, Lines: js.Lines, Policies: js.Policies}.Build()
+	return err
+}
+
+// kind is the job's stream kind for bench sources; instr by default.
+func (js JobSpec) kind() string {
+	if js.Kind == "" {
+		return "instr"
 	}
-	return nil
+	return js.Kind
 }
 
 // gridSpec lowers the job to the shared grid layout. store provides
 // uploaded-trace bytes; it may be nil for validation-only builds (the
 // trace source then yields an error stream that is never called).
 func (js JobSpec) gridSpec(store *store) (grid.Spec, error) {
-	kind := js.Kind
-	if kind == "" {
-		kind = "instr"
-	}
+	kind := js.kind()
 	var sources []grid.Source
 	if js.Trace != "" {
 		digest := strings.TrimPrefix(js.Trace, "trace:")

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -180,10 +181,29 @@ func TestServeLoadKillRestart(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Let part of the load complete, then kill the server cold.
+	// Let part of the load complete, then kill the server cold while a
+	// job is mid-run — some cells journaled, at least four still to run
+	// (a two-benchmark job between its sources) — so the restart has a
+	// resume to perform. Most jobs are two columns that finish
+	// together, so a kill at an arbitrary moment can land between jobs.
+	midJob := func() bool {
+		for _, id := range ids {
+			j := s1.getJob(id)
+			if j == nil || j.state() != StateRunning {
+				continue
+			}
+			if done, total := j.progress(); done == 0 || total-done < 4 {
+				continue
+			}
+			if fi, err := os.Stat(s1.st.journalPath(id)); err == nil && fi.Size() > 0 {
+				return true
+			}
+		}
+		return false
+	}
 	deadline := time.Now().Add(60 * time.Second)
-	for s1.metrics.JobsDone.Load() < 40 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	for (s1.metrics.JobsDone.Load() < 40 || !midJob()) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
 	if got := s1.metrics.JobsDone.Load(); got < 40 {
 		t.Fatalf("only %d jobs done before kill deadline", got)
@@ -732,6 +752,75 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeValidationHugeSpec pins admission against a one-request
+// denial of service: a 951,764-byte spec whose four list lengths
+// multiply to 2^64 + 230 cells — 230 after int wraparound, under
+// dynex-serve's default 4096-cell cap — must be refused with a 400
+// quickly, without
+// building one benchmark program per listed name or looping over the
+// grid.
+func TestServeValidationHugeSpec(t *testing.T) {
+	nBench, nSize, nLine, nPol := 42_618, 75_563, 82_609, 69_341
+	if wrapped := uint64(nBench) * uint64(nSize) * uint64(nLine) * uint64(nPol); wrapped != 230 {
+		t.Fatalf("list lengths wrap to %d cells, want 230", wrapped)
+	}
+	list := func(item string, n int) string {
+		return strings.TrimSuffix(strings.Repeat(item+",", n), ",")
+	}
+	body := `{"benches":[` + list(`"li"`, nBench) + `],"refs":10000000,` +
+		`"sizes":[` + list("64", nSize) + `],"lines":[` + list("4", nLine) + `],` +
+		`"policies":[` + list(`"dm"`, nPol) + `]}`
+	if len(body) != 951_764 {
+		t.Fatalf("spec is %d bytes, want 951764", len(body))
+	}
+	cfg := testConfig(t.TempDir())
+	cfg.MaxRefs, cfg.MaxCells = 10_000_000, 4096 // dynex-serve's defaults
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	start := time.Now()
+	req, err := http.NewRequest("POST", ts.URL+"/v1/jobs", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Tenant", "alice")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", resp.StatusCode)
+	}
+	// Decoding the body is most of the cost (~0.1 s); the race detector
+	// slows it about eightfold, so its bound is scaled.
+	limit := time.Second
+	if raceEnabled() {
+		limit = 5 * time.Second
+	}
+	if elapsed > limit {
+		t.Errorf("refusal took %v, want under %v", elapsed, limit)
+	}
+}
+
+// raceEnabled reports whether the race detector instruments this test
+// binary (go test records -race in the binary's build settings).
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
 // TestQueueFairness pins round-robin dispatch: a tenant flooding the
 // queue cannot starve another tenant's single job.
 func TestQueueFairness(t *testing.T) {
@@ -796,10 +885,10 @@ func waitAllTerminal(t *testing.T, url string, timeout time.Duration) {
 	t.Fatal("jobs did not reach terminal states in time")
 }
 
-// TestServeMultisimModes pins the job runner's column partitioning: the
-// same power-of-two sweep job produces byte-identical CSV whether the
-// server runs column kernels (the default) or is forced per-cell with
-// Multisim "off", and both match the direct engine ground truth.
+// TestServeMultisimModes pins the job runner's column partitioning: a
+// power-of-two sweep job mixes both execution shapes — size columns
+// for dm/de/lru/fifo, single cells for opt — and its served CSV is
+// byte-identical to an in-process per-cell engine.Run of the same plan.
 func TestServeMultisimModes(t *testing.T) {
 	js := JobSpec{
 		Benches:  []string{"gcc"},
@@ -807,56 +896,62 @@ func TestServeMultisimModes(t *testing.T) {
 		Refs:     4000,
 		Sizes:    []uint64{1024, 2048, 4096, 8192},
 		Lines:    []uint64{4, 16},
-		Policies: []string{"dm", "de", "lru", "fifo", "de:store=hashed*4"},
+		Policies: []string{"dm", "de", "lru", "fifo", "de:store=hashed*4", "opt"},
 	}
-	csvs := map[string][]byte{}
-	var want []byte
-	for _, mode := range []string{"auto", "off"} {
-		cfg := testConfig(t.TempDir())
-		cfg.Multisim = mode
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() { defer close(done); _ = s.Run(ctx) }()
-		ts := httptest.NewServer(s.Handler())
-
-		id, code := postJob(t, ts.URL, "alice", js)
-		if code != http.StatusAccepted {
-			t.Fatalf("mode %s: status %d", mode, code)
-		}
-		deadline := time.Now().Add(60 * time.Second)
-		var stt Status
-		for time.Now().Before(deadline) {
-			getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
-			if terminal(stt.State) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		if stt.State != StateDone {
-			t.Fatalf("mode %s: job state %s, err %q", mode, stt.State, stt.Error)
-		}
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/csv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		csvs[mode] = body
-		if want == nil {
-			want = directCSV(t, cfg, s.st, js)
-		}
+	cfg := testConfig(t.TempDir())
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = s.Run(ctx) }()
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
 		ts.Close()
 		cancel()
 		<-done
+	}()
+
+	gs, err := js.gridSpec(s.st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(csvs["auto"], csvs["off"]) {
-		t.Errorf("column-mode CSV differs from per-cell CSV:\n--- auto\n%s--- off\n%s", csvs["auto"], csvs["off"])
+	plan, err := gs.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(csvs["auto"], want) {
-		t.Errorf("served CSV differs from direct engine run:\n--- got\n%s--- want\n%s", csvs["auto"], want)
+	all := make([]int, len(plan.Cells))
+	for i := range all {
+		all[i] = i
+	}
+	if groups := plan.Partition(all, nil); len(groups) != 10 {
+		t.Fatalf("job grid partitions into %d columns, want 10 (5 column policies x 2 lines)", len(groups))
+	}
+
+	id, code := postJob(t, ts.URL, "alice", js)
+	if code != http.StatusAccepted {
+		t.Fatalf("status %d", code)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	var stt Status
+	for time.Now().Before(deadline) {
+		getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
+		if terminal(stt.State) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if stt.State != StateDone {
+		t.Fatalf("job state %s, err %q", stt.State, stt.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := directCSV(t, cfg, s.st, js); !bytes.Equal(got, want) {
+		t.Errorf("served CSV differs from per-cell engine run:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
