@@ -64,24 +64,57 @@ func TestBatchDifferential(t *testing.T) {
 	}
 }
 
+// wideColumn is the 1–512 KiB size axis of the `columns` benchmark
+// workload: ten members, nine set bits between the smallest and the
+// largest.
+var wideColumn = []uint64{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19}
+
 // TestMultisimDifferential pins the single-pass column kernels
 // (internal/multisim, DESIGN.md §15) against per-cell simulation for
-// every registered policy spec across a power-of-two size column, at
-// one-word and multi-word line sizes — and asserts ineligible families
-// report themselves so, falling back to the per-cell path.
+// every registered policy spec across power-of-two size columns — short
+// ones at one-word and multi-word line sizes, the wide column the
+// benchmark runs at 4 and 64 B lines, and an unsorted column that
+// repeats a size — and asserts ineligible families report themselves
+// so, falling back to the per-cell path.
 func TestMultisimDifferential(t *testing.T) {
 	cases := []struct {
+		name  string
 		line  uint64
 		sizes []uint64
 	}{
-		{4, []uint64{1 << 11, 1 << 12, 1 << 13, 1 << 14}},
-		{16, []uint64{1 << 12, 1 << 13, 1 << 15}},
+		{"line=4", 4, []uint64{1 << 11, 1 << 12, 1 << 13, 1 << 14}},
+		{"line=16", 16, []uint64{1 << 12, 1 << 13, 1 << 15}},
+		{"wide/line=4", 4, wideColumn},
+		{"wide/line=64", 64, wideColumn},
+		{"unsorted-repeat/line=8", 8, []uint64{1 << 14, 1 << 11, 1 << 14, 1 << 12, 1 << 11}},
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(fmt.Sprintf("line=%d", c.line), func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			CheckMultisimRegistry(t, c.line, c.sizes, Options{Streams: 3})
 		})
+	}
+}
+
+// TestColumnStreamSpansColumn guards the wide battery against vacuity:
+// on columnStream's streams, per-cell direct-mapped hits rise at every
+// step of the 1–512 KiB column, so the first hitting member ranges over
+// the whole column and each member's misses are exercised.
+func TestColumnStreamSpansColumn(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		refs := columnStream(seed, 6000, wideColumn)
+		prev := uint64(0)
+		for _, size := range wideColumn {
+			sim := cache.MustDirectMapped(cache.DM(size, 4))
+			for i := range refs {
+				sim.Access(refs[i].Addr)
+			}
+			if hits := sim.Stats().Hits; hits <= prev {
+				t.Errorf("seed %d: %d hits at %d bytes, not above %d at half the size", seed, hits, size, prev)
+			} else {
+				prev = hits
+			}
+		}
 	}
 }
 

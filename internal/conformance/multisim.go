@@ -1,12 +1,15 @@
 package conformance
 
 import (
+	"math/bits"
+	"math/rand"
 	"strconv"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/policy"
+	"repro/internal/trace"
 )
 
 // multisimVariants lists, per column-eligible family, the option
@@ -66,13 +69,18 @@ func CheckMultisimRegistry(t *testing.T, line uint64, sizes []uint64, opts Optio
 }
 
 // checkColumnSpec drives one column kernel and compares every member
-// against its own per-cell simulation, ragged chunking included.
+// against its own per-cell simulation, ragged chunking included, over
+// the harness's conflict-heavy streams and over columnStream streams
+// spanning the column.
 func checkColumnSpec(t *testing.T, sp policy.Spec, newCol func() (engine.Column, error), line uint64, sizes []uint64, opts Options) {
 	t.Helper()
 	chunks := []int{1, 7, 501, 4096}
+	var streams [][]trace.Ref
 	for seed := int64(1); seed <= int64(opts.Streams); seed++ {
-		refs := refStream(seed, opts.Refs)
-
+		streams = append(streams, refStream(seed, opts.Refs), columnStream(seed, opts.Refs, sizes))
+	}
+	for si, refs := range streams {
+		stream := int64(si)
 		col, err := newCol()
 		if err != nil {
 			t.Fatalf("column constructor: %v", err)
@@ -88,24 +96,55 @@ func checkColumnSpec(t *testing.T, sp policy.Spec, newCol func() (engine.Column,
 		}
 		outs := col.Outcomes()
 		if len(outs) != len(sizes) {
-			t.Fatalf("seed %d: %d outcomes for %d sizes", seed, len(outs), len(sizes))
+			t.Fatalf("stream %d: %d outcomes for %d sizes", stream, len(outs), len(sizes))
 		}
 
 		for k, size := range sizes {
 			geom := cache.DM(size, line)
 			sim, err := sp.Build(geom)
 			if err != nil {
-				t.Fatalf("seed %d size %d: per-cell build: %v", seed, size, err)
+				t.Fatalf("stream %d size %d: per-cell build: %v", stream, size, err)
 			}
 			for i := range refs {
 				sim.Access(refs[i].Addr)
 			}
 			if got, want := outs[k].Stats, sim.Stats(); got != want {
-				t.Errorf("seed %d size %d: column %+v != per-cell %+v", seed, size, got, want)
+				t.Errorf("stream %d size %d: column %+v != per-cell %+v", stream, size, got, want)
 			}
-			diffExtras(t, seed, cache.SnapshotExtras(sim), outs[k].Extras)
+			diffExtras(t, stream, cache.SnapshotExtras(sim), outs[k].Extras)
 		}
 	}
+}
+
+// columnStream produces a deterministic instruction stream whose reuse
+// and conflicts reach every member of a size column: a third of the
+// references repeat an earlier one at a log-uniform distance (hits at
+// every size), a third walk a conflict ladder (a few blocks aliasing at
+// a random power-of-two stride between the smallest size and twice the
+// largest, so each size has conflicts that the next size resolves), and
+// the rest are uniform over twice the largest size.
+func columnStream(seed int64, n int, sizes []uint64) []trace.Ref {
+	lo, hi := sizes[0], sizes[0]
+	for _, s := range sizes {
+		lo, hi = min(lo, s), max(hi, s)
+	}
+	minLevel, levels := bits.Len64(lo)-1, bits.Len64(hi)-bits.Len64(lo)+2
+	rng := rand.New(rand.NewSource(seed))
+	refs := make([]trace.Ref, n)
+	for i := range refs {
+		var a uint64
+		switch r := rng.Intn(9); {
+		case r < 3 && i > 0:
+			d := 1 << rng.Intn(bits.Len(uint(i)))
+			a = refs[i-min(i, d+rng.Intn(d))].Addr
+		case r < 6:
+			a = uint64(rng.Intn(8))<<(minLevel+rng.Intn(levels)) | uint64(rng.Intn(64))
+		default:
+			a = uint64(rng.Int63n(int64(2 * hi)))
+		}
+		refs[i] = trace.Ref{Addr: a, Kind: trace.Instr}
+	}
+	return refs
 }
 
 // CheckStackProperty asserts LRU inclusion across power-of-two sizes on

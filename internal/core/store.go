@@ -7,8 +7,15 @@ import (
 
 // tablePageBlocks is the number of blocks covered by one TableStore
 // page. Reference streams have block locality by construction, so
-// nearly every store operation lands on the page the previous one did.
+// nearly every store operation lands on a page touched shortly before.
 const tablePageBlocks = 1 << 12
+
+// tableRecentBits sizes TableStore's cache of recently touched pages at
+// 1<<tableRecentBits = 16 slots. A replacement looks up the incoming
+// block and writes back the evicted one, which a cache size apart
+// usually sit on different pages, so the cache needs more than one
+// slot.
+const tableRecentBits = 4
 
 // tablePage holds two bits per block: whether the block has ever been
 // written back (seen) and, if so, its recorded hit-last bit.
@@ -23,15 +30,22 @@ type tablePage struct {
 // bit reported for never-seen blocks — the cold-start assume-hit /
 // assume-miss choice of §5.
 //
-// The table is stored as a paged bitmap with a one-entry cache of the
-// most recently touched page, so the Lookup/Writeback pair a miss costs
-// is a few shifts and masks rather than two map operations.
+// The table is stored as a paged bitmap with a small direct-mapped
+// cache of recently touched pages in front of the page map, so the
+// Lookup/Writeback pair a miss costs is a few shifts and masks rather
+// than two map operations.
 type TableStore struct {
 	pages   map[uint64]*tablePage
-	last    *tablePage // page of the most recent Lookup/Writeback
-	lastKey uint64
+	recent  [1 << tableRecentBits]recentPage
 	n       int // blocks with a recorded bit
 	Default bool
+}
+
+// recentPage is one slot of TableStore's recent-page cache; a nil page
+// is an empty slot.
+type recentPage struct {
+	key  uint64
+	page *tablePage
 }
 
 // NewTableStore returns an empty table reporting def for unseen blocks.
@@ -39,16 +53,24 @@ func NewTableStore(def bool) *TableStore {
 	return &TableStore{pages: make(map[uint64]*tablePage), Default: def}
 }
 
+// recentSlot returns the recent-page cache slot for a page key. Keys of
+// conflicting blocks differ by multiples of a power of two, so the slot
+// comes from a multiplicative hash's top bits, not the key's low bits.
+func (t *TableStore) recentSlot(key uint64) *recentPage {
+	return &t.recent[(key*0x9E3779B97F4A7C15)>>(64-tableRecentBits)]
+}
+
 // page returns the page covering block, or nil if no bit in its range
 // has been recorded.
 func (t *TableStore) page(block uint64) *tablePage {
 	key := block / tablePageBlocks
-	if t.last != nil && t.lastKey == key {
-		return t.last
+	r := t.recentSlot(key)
+	if r.page != nil && r.key == key {
+		return r.page
 	}
 	p := t.pages[key]
 	if p != nil {
-		t.last, t.lastKey = p, key
+		r.key, r.page = key, p
 	}
 	return p
 }
@@ -73,7 +95,7 @@ func (t *TableStore) Writeback(block uint64, hitLast bool) {
 		key := block / tablePageBlocks
 		p = new(tablePage)
 		t.pages[key] = p
-		t.last, t.lastKey = p, key
+		*t.recentSlot(key) = recentPage{key: key, page: p}
 	}
 	i := block % tablePageBlocks
 	if p.seen[i>>6]&(1<<(i&63)) == 0 {
@@ -93,7 +115,8 @@ func (t *TableStore) Len() int { return t.n }
 // Reset forgets all recorded bits.
 func (t *TableStore) Reset() {
 	clear(t.pages)
-	t.last, t.n = nil, 0
+	t.recent = [1 << tableRecentBits]recentPage{}
+	t.n = 0
 }
 
 // HashedStore is the paper's "hashed" storage strategy (§5): a fixed-size

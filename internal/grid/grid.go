@@ -57,7 +57,10 @@ func NewSource(name string, load func() ([]trace.Ref, error)) Source {
 
 // CheckBenches reports the error BenchSources would for these names and
 // stream kind, without building any benchmark program — cheap enough to
-// run on untrusted job specs before admission.
+// run on untrusted job specs before admission. A name may appear once:
+// every listing becomes its own source holding its own stream for the
+// whole run, so repeats would multiply a grid's memory without adding a
+// distinct result.
 func CheckBenches(names []string, kind string) error {
 	switch kind {
 	case "instr", "data", "mixed":
@@ -68,10 +71,15 @@ func CheckBenches(names []string, kind string) error {
 	for _, p := range spec.SuiteParams() {
 		known[p.Name] = true
 	}
+	listed := make(map[string]bool, len(names))
 	for _, name := range names {
 		if !known[name] {
 			return fmt.Errorf("grid: unknown benchmark %q", name)
 		}
+		if listed[name] {
+			return fmt.Errorf("grid: benchmark %q listed more than once", name)
+		}
+		listed[name] = true
 	}
 	return nil
 }

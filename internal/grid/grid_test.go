@@ -122,14 +122,18 @@ func TestWriteCSVWithholdsFailures(t *testing.T) {
 	}
 }
 
-// TestBenchSourcesValidation checks unknown names and kinds fail before
-// any stream synthesis.
+// TestBenchSourcesValidation checks unknown names, unknown kinds and
+// repeated names fail before any stream synthesis.
 func TestBenchSourcesValidation(t *testing.T) {
 	if _, err := BenchSources([]string{"nope"}, "instr", 10); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	if _, err := BenchSources([]string{"gcc"}, "bogus", 10); err == nil {
 		t.Error("unknown kind accepted")
+	}
+	if _, err := BenchSources([]string{"gcc", "li", "gcc"}, "instr", 10); err == nil ||
+		!strings.Contains(err.Error(), `"gcc" listed more than once`) {
+		t.Errorf("repeated benchmark: err = %v, want a repeat error", err)
 	}
 }
 

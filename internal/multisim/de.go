@@ -34,7 +34,8 @@ type DEConfig struct {
 // larger one admits it — so every member carries full FSM state and the
 // kernel advances them in lockstep off one shared block decode. The
 // §6 last-line register is size-independent (it holds a block number),
-// so one shared register serves the whole column; per-cell simulations
+// so one shared register serves the whole column, and its hits, which
+// every member scores alike, are counted once; per-cell simulations
 // would each compute the identical register trajectory.
 type DE struct {
 	lineShift   int
@@ -42,24 +43,30 @@ type DE struct {
 	useLastLine bool
 	lastTag     uint64
 	lastValid   bool
+	llHits      uint64 // last-line register hits, shared by every member
 	members     []deMember
 	order       []int
 	accesses    uint64
 }
 
+// A member set's FSM state beyond its tag is one word: the sticky
+// counter in the low byte, then the hit-last flag and the valid bit.
+const (
+	deSticky = 0xff
+	deFlag   = 1 << 8
+	deValid  = 1 << 9
+)
+
 type deMember struct {
 	setMask uint64
 	tags    []uint64
-	valid   []bool
-	sticky  []uint8
-	flag    []bool
+	state   []uint16 // deSticky | deFlag | deValid per set
 	store   core.HitLastStore
+	// Fills are the accesses left over: accesses = last-line hits +
+	// hits + defends (each defense bypasses) + fills.
 	hits    uint64
-	fills   uint64
-	bypass  uint64
-	evicts  uint64
-	llHits  uint64
 	defends uint64
+	evicts  uint64
 	overrid uint64
 }
 
@@ -84,9 +91,7 @@ func NewDE(cfg DEConfig, line uint64, sizes []uint64) (*DE, error) {
 		m := deMember{
 			setMask: nsets - 1,
 			tags:    make([]uint64, nsets),
-			valid:   make([]bool, nsets),
-			sticky:  make([]uint8, nsets),
-			flag:    make([]bool, nsets),
+			state:   make([]uint16, nsets),
 		}
 		if cfg.Hashed {
 			store, err := core.NewHashedStore(int(nsets)*cfg.Bits, cfg.AssumeHit)
@@ -112,18 +117,16 @@ func NewDE(cfg DEConfig, line uint64, sizes []uint64) (*DE, error) {
 func (c *DE) Batch(refs []trace.Ref) {
 	members := c.members
 	shift := c.lineShift
-	stickyMax := c.stickyMax
+	fresh := deValid | deFlag | uint16(c.stickyMax)
 	useLastLine := c.useLastLine
 	lastTag, lastValid := c.lastTag, c.lastValid
+	llHits := c.llHits
 	for i := range refs {
 		block := refs[i].Addr >> shift
 
 		if useLastLine {
 			if lastValid && lastTag == block {
-				for k := range members {
-					members[k].hits++
-					members[k].llHits++
-				}
+				llHits++
 				continue
 			}
 			lastTag, lastValid = block, true
@@ -132,46 +135,44 @@ func (c *DE) Batch(refs []trace.Ref) {
 		for k := range members {
 			m := &members[k]
 			set := block & m.setMask
-			if m.valid[set] && m.tags[set] == block {
-				m.sticky[set] = stickyMax
-				m.flag[set] = true
+			st := m.state[set]
+			if st&deValid != 0 && m.tags[set] == block {
+				m.state[set] = fresh
 				m.hits++
 				continue
 			}
 
-			if !m.valid[set] {
+			if st&deValid == 0 {
 				m.tags[set] = block
-				m.valid[set] = true
-				m.sticky[set] = stickyMax
-				m.flag[set] = true
-				m.fills++
+				m.state[set] = fresh
 				continue
 			}
 
-			cost := uint8(1)
+			cost := uint16(1)
 			if m.store.Lookup(block) {
 				cost = 2
 			}
-			if m.sticky[set] >= cost {
-				m.sticky[set] -= cost
+			if st&deSticky >= cost {
+				m.state[set] = st - cost
 				m.defends++
-				m.bypass++
 				continue
 			}
 
-			wasSticky := m.sticky[set] > 0
-			if wasSticky {
-				m.overrid++
-			}
-			m.store.Writeback(m.tags[set], m.flag[set])
+			m.store.Writeback(m.tags[set], st&deFlag != 0)
 			m.tags[set] = block
-			m.sticky[set] = stickyMax
-			m.flag[set] = !wasSticky
-			m.fills++
+			if st&deSticky != 0 {
+				// A block that overrides a sticky resident starts with
+				// its hit flag clear.
+				m.overrid++
+				m.state[set] = fresh &^ deFlag
+			} else {
+				m.state[set] = fresh
+			}
 			m.evicts++
 		}
 	}
 	c.lastTag, c.lastValid = lastTag, lastValid
+	c.llHits = llHits
 	c.accesses += uint64(len(refs))
 }
 
@@ -182,19 +183,21 @@ func (c *DE) Outcomes() []engine.ColumnOutcome {
 	outs := make([]engine.ColumnOutcome, len(c.members))
 	for k := range c.members {
 		m := &c.members[k]
+		hits := c.llHits + m.hits
+		fills := c.accesses - hits - m.defends
 		outs[c.order[k]] = engine.ColumnOutcome{
 			Stats: cache.Stats{
 				Accesses:  c.accesses,
-				Hits:      m.hits,
-				Misses:    m.fills + m.bypass,
-				Fills:     m.fills,
-				Bypasses:  m.bypass,
+				Hits:      hits,
+				Misses:    fills + m.defends,
+				Fills:     fills,
+				Bypasses:  m.defends,
 				Evictions: m.evicts,
 			},
 			Extras: []cache.Counter{
 				{Name: "sticky_defenses", Value: m.defends},
 				{Name: "hitlast_overrides", Value: m.overrid},
-				{Name: "lastline_hits", Value: m.llHits},
+				{Name: "lastline_hits", Value: c.llHits},
 			},
 		}
 	}

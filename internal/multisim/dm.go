@@ -14,15 +14,16 @@ type DM struct {
 	lineShift int
 	members   []dmMember // ascending by size
 	order     []int      // order[k]: member k's position in the constructor's sizes
-	accesses  uint64
+	// hitFrom[k] counts references whose smallest hitting member is k;
+	// hitFrom[len(members)] counts references every member missed.
+	hitFrom  []uint64
+	accesses uint64
 }
 
 type dmMember struct {
 	setMask uint64
 	tags    []uint64
 	valid   []bool
-	hits    uint64
-	fills   uint64
 	evicts  uint64
 }
 
@@ -36,6 +37,7 @@ func NewDM(line uint64, sizes []uint64) (*DM, error) {
 		lineShift: bits.TrailingZeros64(line),
 		members:   make([]dmMember, len(sizes)),
 		order:     ascendingSizes(sizes),
+		hitFrom:   make([]uint64, len(sizes)+1),
 	}
 	for k, oi := range c.order {
 		nsets := sizes[oi] / line
@@ -51,13 +53,15 @@ func NewDM(line uint64, sizes []uint64) (*DM, error) {
 // Batch advances every member over the chunk. Direct-mapped bit
 // selection is 1-way LRU, so inclusion holds across power-of-two sizes:
 // the probe walks members ascending, handles misses (fill + possible
-// eviction) until the first hit, and every larger member is a hit with
-// no state change (a direct-mapped hit mutates nothing). The
-// conformance column battery pins the equivalence per cell.
+// eviction) until the first hit, and counts the reference once, at that
+// member. Every larger member is a hit with no state change (a
+// direct-mapped hit mutates nothing), which Outcomes recovers by prefix
+// sum. The conformance column battery pins the equivalence per cell.
 //
 //dynexcheck:hot
 func (c *DM) Batch(refs []trace.Ref) {
 	members := c.members
+	hitFrom := c.hitFrom
 	shift := c.lineShift
 	for i := range refs {
 		block := refs[i].Addr >> shift
@@ -74,11 +78,8 @@ func (c *DM) Batch(refs []trace.Ref) {
 				m.valid[set] = true
 			}
 			m.tags[set] = block
-			m.fills++
 		}
-		for ; k < len(members); k++ {
-			members[k].hits++
-		}
+		hitFrom[k]++
 	}
 	c.accesses += uint64(len(refs))
 }
@@ -87,14 +88,15 @@ func (c *DM) Batch(refs []trace.Ref) {
 // order. Direct-mapped caches never bypass: misses equal fills.
 func (c *DM) Outcomes() []engine.ColumnOutcome {
 	outs := make([]engine.ColumnOutcome, len(c.members))
+	hits := uint64(0)
 	for k := range c.members {
-		m := &c.members[k]
+		hits += c.hitFrom[k]
 		outs[c.order[k]] = engine.ColumnOutcome{Stats: cache.Stats{
 			Accesses:  c.accesses,
-			Hits:      m.hits,
-			Misses:    m.fills,
-			Fills:     m.fills,
-			Evictions: m.evicts,
+			Hits:      hits,
+			Misses:    c.accesses - hits,
+			Fills:     c.accesses - hits,
+			Evictions: c.members[k].evicts,
 		}}
 	}
 	return outs

@@ -20,13 +20,18 @@ import (
 // more. A walk toward the probed block counts, for each entry above it,
 // how many of those extra bits match the probe (the capped trailing
 // zero count of the XOR); entry e conflicts with the probe at member k
-// iff all needTZ[k] extra bits match, i.e. tz >= needTZ[k]. Suffix-
-// summing the tz histogram therefore gives the probe's LRU stack
-// distance at every member simultaneously, and distance < ways is a
-// hit. This is also a constructive proof of inclusion across set
-// counts (fixed ways): the matching condition at 2S implies the one at
-// S, so distances shrink as caches grow and a hit at S is a hit at 2S
-// — the property the conformance stack battery asserts.
+// iff all needTZ[k] extra bits match, i.e. tz >= needTZ[k]. The
+// smallest member's distance is the walk position itself, and each
+// larger member's is that minus the histogram buckets below its
+// needTZ, so distance < ways is a hit. This is also a constructive
+// proof of inclusion across set counts (fixed ways): the matching
+// condition at 2S implies the one at S, so distances shrink as caches
+// grow and a hit at S is a hit at 2S — the property the conformance
+// stack battery asserts. The kernel leans on it: scanning the
+// histogram upward from the smallest member finds the first hitting
+// member, the reference is counted once there, only the members below
+// it (the ones that miss) do any per-member work, and Outcomes
+// recovers every member's hits by prefix sum.
 //
 // Walks early-out once the finest-level count reaches ways (the
 // largest member's distance is the column's minimum, so everything
@@ -48,7 +53,10 @@ type LRU struct {
 	groupMask uint64   // finest-set group id bits above s0
 	groupCnt  []uint32 // compaction scratch, one slot per group
 	bucket    []uint64 // walk scratch: histogram of capped tz values
-	accesses  uint64
+	// hitFrom[k] counts references whose smallest hitting member is k;
+	// hitFrom[len(members)] counts references every member missed.
+	hitFrom  []uint64
+	accesses uint64
 }
 
 type lruMember struct {
@@ -57,8 +65,6 @@ type lruMember struct {
 	// fillCnt[set] counts valid ways, saturating at ways: fills beyond
 	// it are evictions (SetAssoc fills invalid ways first).
 	fillCnt []uint32
-	hits    uint64
-	fills   uint64
 	evicts  uint64
 }
 
@@ -74,6 +80,7 @@ func NewLRU(line uint64, sizes []uint64, ways int) (*LRU, error) {
 		ways:      uint64(ways),
 		members:   make([]lruMember, len(sizes)),
 		order:     ascendingSizes(sizes),
+		hitFrom:   make([]uint64, len(sizes)+1),
 	}
 	for k, oi := range c.order {
 		nsets := sizes[oi] / (line * uint64(ways))
@@ -119,6 +126,7 @@ func NewLRU(line uint64, sizes []uint64, ways int) (*LRU, error) {
 func (c *LRU) Batch(refs []trace.Ref) {
 	members := c.members
 	bucket := c.bucket
+	hitFrom := c.hitFrom
 	topNeed := len(bucket) - 1
 	ways := c.ways
 	shift := c.lineShift
@@ -147,27 +155,34 @@ func (c *LRU) Batch(refs []trace.Ref) {
 			}
 			bucket[tz]++
 		}
-		// Suffix-sum the histogram into per-member distances, walking
-		// members largest-first (descending needTZ): member k conflicts
-		// with entries whose tz >= needTZ[k].
-		dist := uint64(0)
-		t := topNeed
-		for k := len(members) - 1; k >= 0; k-- {
+		// kmin is the smallest hitting member. A found block is a hit at
+		// the largest member (the walk stopped short of ways entries
+		// sharing its finest set), so the upward scan always ends in
+		// one: member k conflicts with the entries whose tz >= needTZ[k],
+		// the walk position less the buckets below needTZ[k].
+		kmin := len(members)
+		if found >= 0 {
+			dist := uint64(found)
+			t := 0
+			for k := range members {
+				for ; t < members[k].needTZ; t++ {
+					dist -= bucket[t]
+				}
+				if dist < ways {
+					kmin = k
+					break
+				}
+			}
+		}
+		hitFrom[kmin]++
+		for k := 0; k < kmin; k++ {
 			m := &members[k]
-			for ; t >= m.needTZ; t-- {
-				dist += bucket[t]
-			}
-			if found >= 0 && dist < ways {
-				m.hits++
-				continue
-			}
 			set := block & m.setMask
 			if uint64(m.fillCnt[set]) < ways {
 				m.fillCnt[set]++
 			} else {
 				m.evicts++
 			}
-			m.fills++
 		}
 		if found >= 0 {
 			copy(stack[1:found+1], stack[:found])
@@ -217,14 +232,15 @@ func (c *LRU) compact(stack []uint64) []uint64 {
 // order. Set-associative caches never bypass: misses equal fills.
 func (c *LRU) Outcomes() []engine.ColumnOutcome {
 	outs := make([]engine.ColumnOutcome, len(c.members))
+	hits := uint64(0)
 	for k := range c.members {
-		m := &c.members[k]
+		hits += c.hitFrom[k]
 		outs[c.order[k]] = engine.ColumnOutcome{Stats: cache.Stats{
 			Accesses:  c.accesses,
-			Hits:      m.hits,
-			Misses:    m.fills,
-			Fills:     m.fills,
-			Evictions: m.evicts,
+			Hits:      hits,
+			Misses:    c.accesses - hits,
+			Fills:     c.accesses - hits,
+			Evictions: c.members[k].evicts,
 		}}
 	}
 	return outs

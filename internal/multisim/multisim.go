@@ -14,14 +14,17 @@
 //   - DM exploits the stack property of direct-mapped bit selection
 //     (1-way LRU): a block resident at size S is resident at every
 //     larger power-of-two size, so a probe walks sizes ascending and
-//     stops at the first hit — and direct-mapped hits mutate nothing,
-//     so the early-out skips real work, not just bookkeeping.
+//     stops at the first hit. Direct-mapped hits mutate nothing, so the
+//     early-out skips all work above that member: the reference is
+//     counted once, by its first hitting member, and Outcomes recovers
+//     every member's hits by prefix sum.
 //   - LRU runs Mattson-style stack-distance processing (Hill & Smith's
 //     forest simulation collapsed onto move-to-front stacks): one
 //     recency stack per smallest-member set yields the stack distance
 //     at EVERY member set count from a single walk, because a finer
 //     set mask only filters which stack entries count toward the
-//     distance.
+//     distance. Hits are counted by first hitting member as in DM, and
+//     only the members below it, which miss, update their fill state.
 //
 // DE and FIFO have no inclusion property (DE's bypasses and FIFO's
 // insertion-order victims break it), so their kernels are plain
@@ -74,9 +77,9 @@ func Validate(line uint64, sizes []uint64, ways int) error {
 
 // ascendingSizes returns positions into sizes ordered by ascending size
 // (stable, so duplicate sizes keep their relative order). Kernels
-// process members ascending — the DM early-out and the LRU suffix-sum
-// need it — while Outcomes must come back in the caller's order, so
-// each kernel keeps this permutation: member k reports at order[k].
+// process members ascending — first-hit counting in DM and LRU needs
+// it — while Outcomes must come back in the caller's order, so each
+// kernel keeps this permutation: member k reports at order[k].
 func ascendingSizes(sizes []uint64) []int {
 	order := make([]int, len(sizes))
 	for i := range order {

@@ -724,6 +724,7 @@ func TestServeValidation(t *testing.T) {
 	}{
 		{"no source", func(j *JobSpec) { j.Benches = nil }},
 		{"unknown bench", func(j *JobSpec) { j.Benches = []string{"nope"} }},
+		{"repeated bench", func(j *JobSpec) { j.Benches = []string{"gcc", "li", "gcc"} }},
 		{"bad policy", func(j *JobSpec) { j.Policies = []string{"wat:x=1"} }},
 		{"bad kind", func(j *JobSpec) { j.Kind = "bogus" }},
 		{"refs cap", func(j *JobSpec) { j.Refs = 1_000_000 }},
