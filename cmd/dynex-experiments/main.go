@@ -18,8 +18,8 @@
 // -trace-events logs structured JSONL run events (one annotation per
 // experiment plus the engine's cell events; summarize with
 // `dynex-sweep -trace-summary`), and -debug-addr serves Prometheus
-// metrics, expvar counters and pprof profiles so a multi-hour
-// regeneration can be profiled mid-flight. Telemetry never changes stdout.
+// metrics and pprof profiles so a multi-hour regeneration can be
+// profiled mid-flight. Telemetry never changes stdout.
 package main
 
 import (
@@ -137,7 +137,6 @@ func run(ctx context.Context) (err error) {
 			}
 		}()
 		if *debugAddr != "" {
-			col.Publish("dynex.experiments")
 			col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
 			addr, err := obs.ServeDebug(*debugAddr, obs.Default)
 			if err != nil {

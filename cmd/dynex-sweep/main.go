@@ -27,8 +27,8 @@
 // readable RunReport (throughput, percentile cell latencies, retry/panic/
 // timeout counts, checkpoint savings), -trace-events logs structured
 // JSONL run events replayable with -trace-summary, -progress shows rate
-// and ETA, and -debug-addr serves Prometheus metrics, expvar counters
-// and pprof profiles for watching a long sweep mid-flight. Telemetry
+// and ETA, and -debug-addr serves Prometheus metrics and pprof
+// profiles for watching a long sweep mid-flight. Telemetry
 // never touches stdout: the CSV is byte-identical with and without it.
 //
 // Examples:
@@ -197,9 +197,9 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Telemetry: one collector feeds the progress meter, the -report
-	// aggregation, the -trace-events log, and the -debug-addr expvar
-	// publication. All of it is observational — stdout CSV is identical
-	// with and without these flags.
+	// aggregation, the -trace-events log, and the -debug-addr /metrics
+	// series. All of it is observational — stdout CSV is identical with
+	// and without these flags.
 	var col *telemetry.Collector
 	if *progress || *reportPath != "" || *traceFile != "" || *debugAddr != "" {
 		col = telemetry.NewCollector(len(cells))
@@ -225,7 +225,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 		}()
 		if *debugAddr != "" {
-			col.Publish("dynex.sweep")
 			col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
 			addr, err := obs.ServeDebug(*debugAddr, obs.Default)
 			if err != nil {

@@ -112,7 +112,6 @@ func run(ctx context.Context) error {
 		col = telemetry.NewCollector(1)
 	}
 	if *debugAddr != "" {
-		col.Publish("dynex.run")
 		col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
 		addr, err := obs.ServeDebug(*debugAddr, obs.Default)
 		if err != nil {

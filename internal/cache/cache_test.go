@@ -77,14 +77,8 @@ func TestDirectMappedHelpers(t *testing.T) {
 	if evicted := c.Fill(64); !evicted {
 		t.Error("conflicting fill should report eviction")
 	}
-	if !c.Invalidate(64) {
-		t.Error("invalidate of resident block returned false")
-	}
-	if c.Invalidate(64) {
-		t.Error("double invalidate returned true")
-	}
 	if c.Stats().Accesses != 0 {
-		t.Error("Fill/Contains/Invalidate must not count accesses")
+		t.Error("Fill/Contains must not count accesses")
 	}
 	c.Access(0)
 	c.Reset()
@@ -195,9 +189,6 @@ func TestSetAssocHelpers(t *testing.T) {
 	}
 	if c.Fill(0) {
 		t.Error("duplicate fill reported eviction")
-	}
-	if !c.Invalidate(0) || c.Invalidate(0) {
-		t.Error("invalidate misbehaved")
 	}
 	c.Access(0)
 	c.Reset()

@@ -85,16 +85,6 @@ func (c *DirectMapped) Fill(addr uint64) bool {
 	return evicted
 }
 
-// Invalidate removes addr's block if resident, reporting whether it was.
-func (c *DirectMapped) Invalidate(addr uint64) bool {
-	set := c.geom.Set(addr)
-	if c.valid[set] && c.tags[set] == c.geom.Tag(addr) {
-		c.valid[set] = false
-		return true
-	}
-	return false
-}
-
 // Stats returns the accumulated counters.
 func (c *DirectMapped) Stats() Stats { return c.stats }
 

@@ -163,19 +163,6 @@ func (c *SetAssoc) Fill(addr uint64) bool {
 	return c.fill(set, tag)
 }
 
-// Invalidate removes addr's block if resident, reporting whether it was.
-func (c *SetAssoc) Invalidate(addr uint64) bool {
-	set := c.sets[c.geom.Set(addr)]
-	tag := c.geom.Tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
-			return true
-		}
-	}
-	return false
-}
-
 // Stats returns the accumulated counters.
 func (c *SetAssoc) Stats() Stats { return c.stats }
 

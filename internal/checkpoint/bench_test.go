@@ -8,10 +8,10 @@ import (
 	"repro/internal/cache"
 )
 
-// BenchmarkJournalAppend times one Append at the default SyncEvery, so
-// every record is fsync'd before Append returns — the cost a sweep or
-// serve job pays per finished cell. Records are shaped like a sweep
-// cell's. It reports µs per append.
+// BenchmarkJournalAppend times one Append, which fsyncs the record
+// before it returns — the cost a sweep or serve job pays per finished
+// cell. Records are shaped like a sweep cell's. It reports µs per
+// append.
 //
 //	go test -run '^$' -bench JournalAppend ./internal/checkpoint
 func BenchmarkJournalAppend(b *testing.B) {

@@ -4,8 +4,8 @@
 // A journal is a JSONL file: one Record per line, keyed by a
 // deterministic cell fingerprint (label + geometry + policy id + stream
 // digest — whatever determines the cell's outcome). Writes are
-// append-only, flushed per record, and fsync'd every SyncEvery records,
-// so after a crash the file is a valid prefix of the run; a torn final
+// append-only and every record is fsync'd before Append returns, so
+// after a crash the file is a valid prefix of the run; a torn final
 // line (the crash landed mid-write) is discarded and truncated away on
 // reopen.
 //
@@ -69,15 +69,10 @@ func Fingerprint(parts ...string) string {
 // methods are goroutine-safe; Append is typically called from the
 // engine's serialized OnResult callback.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	recs    map[string]Record
-	pending int // appends since the last fsync
-
-	// SyncEvery is the number of appends per fsync batch; <= 0 (and the
-	// default) means every record is durable before Append returns.
-	SyncEvery int
+	mu   sync.Mutex
+	f    *os.File
+	w    *bufio.Writer
+	recs map[string]Record
 }
 
 // Open opens or creates the journal at path, loading every complete
@@ -147,8 +142,8 @@ func (j *Journal) Lookup(fp string) (Record, bool) {
 	return rec, ok
 }
 
-// Append journals one record: the line is written and flushed to the
-// file, and fsync'd once the current batch reaches SyncEvery records.
+// Append journals one record: the line is written to the file and
+// fsync'd before Append returns.
 func (j *Journal) Append(rec Record) error {
 	if rec.Fingerprint == "" {
 		return errors.New("checkpoint: record needs a fingerprint")
@@ -166,24 +161,6 @@ func (j *Journal) Append(rec Record) error {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	j.recs[rec.Fingerprint] = rec
-	j.pending++
-	if j.pending >= j.syncEvery() {
-		return j.syncLocked()
-	}
-	return j.w.Flush()
-}
-
-func (j *Journal) syncEvery() int {
-	if j.SyncEvery <= 0 {
-		return 1
-	}
-	return j.SyncEvery
-}
-
-// Sync forces any batched records to disk.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.syncLocked()
 }
 
@@ -194,7 +171,6 @@ func (j *Journal) syncLocked() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	j.pending = 0
 	return nil
 }
 

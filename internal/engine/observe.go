@@ -13,7 +13,7 @@ import (
 // executed — when each cell was picked up (and how long it queued), how
 // each attempt ended, and what the cell finally produced. The engine
 // computes nothing from these events itself; internal/telemetry turns
-// them into run reports, JSONL event traces, and expvar counters.
+// them into run reports, JSONL event traces, and /metrics series.
 //
 // The collector is strictly passive: registering one changes no
 // scheduling decision and no Result, so simulation output is byte-

@@ -10,7 +10,7 @@ import (
 
 // DebugMux builds the unified debug surface every binary exposes:
 //
-//	/debug/vars     expvar JSON (RunReport-shaped snapshots)
+//	/debug/vars     expvar JSON (Go's cmdline and memstats only)
 //	/debug/pprof/*  the standard pprof handlers
 //	/metrics        reg in Prometheus text exposition format
 //

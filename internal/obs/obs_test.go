@@ -200,8 +200,9 @@ func TestServeDebugSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for path, want := range map[string]string{
-		"/metrics":    "srv_total 9",
-		"/debug/vars": "cmdline",
+		"/metrics":             "srv_total 9",
+		"/debug/vars":          "cmdline",
+		"/debug/pprof/cmdline": "",
 	} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -211,6 +212,9 @@ func TestServeDebugSurface(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if len(body) == 0 {
+			t.Errorf("GET %s: empty body", path)
 		}
 		if !strings.Contains(string(body), want) {
 			t.Errorf("GET %s: body missing %q:\n%s", path, want, body)

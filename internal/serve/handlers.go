@@ -37,7 +37,7 @@ const maxTraceUpload = 64 << 20
 //	GET    /readyz                admission readiness (503 while
 //	                              draining or backlogged)
 //	GET    /metrics               Prometheus text exposition
-//	GET    /debug/vars            expvar counters
+//	GET    /debug/vars            Go runtime variables (expvar)
 //	GET    /debug/pprof/          live profiling
 //
 // The tenant is the X-Tenant header; absent means "anon".

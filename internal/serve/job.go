@@ -65,20 +65,12 @@ func (js JobSpec) validate(cfg Config) error {
 	if cfg.MaxRefs > 0 && js.Refs > cfg.MaxRefs {
 		return fmt.Errorf("refs %d exceeds the server cap %d", js.Refs, cfg.MaxRefs)
 	}
-	nsrc := len(js.Benches)
-	if js.Trace != "" {
-		nsrc = 1
-	}
 	if len(js.Sizes) == 0 || len(js.Lines) == 0 || len(js.Policies) == 0 {
 		return fmt.Errorf("empty grid: sizes, lines, and policies must be non-empty")
 	}
-	cells := 1
-	for _, n := range []int{nsrc, len(js.Sizes), len(js.Lines), len(js.Policies)} {
-		if cells > math.MaxInt/n {
-			return fmt.Errorf("grid of %d×%d×%d×%d cells is too large",
-				nsrc, len(js.Sizes), len(js.Lines), len(js.Policies))
-		}
-		cells *= n
+	cells, err := js.cells()
+	if err != nil {
+		return err
 	}
 	if cfg.MaxCells > 0 && cells > cfg.MaxCells {
 		return fmt.Errorf("grid has %d cells, server cap is %d", cells, cfg.MaxCells)
@@ -98,9 +90,27 @@ func (js JobSpec) validate(cfg Config) error {
 	}
 	// Building the grid over one stand-in source validates geometries
 	// and policy specs without building a program or a stream.
-	_, err := grid.Spec{Sources: make([]grid.Source, 1),
+	_, err = grid.Spec{Sources: make([]grid.Source, 1),
 		Sizes: js.Sizes, Lines: js.Lines, Policies: js.Policies}.Build()
 	return err
+}
+
+// cells is the job's grid size, sources × sizes × lines × policies,
+// refused when the product overflows an int.
+func (js JobSpec) cells() (int, error) {
+	nsrc := len(js.Benches)
+	if js.Trace != "" {
+		nsrc = 1
+	}
+	cells := 1
+	for _, n := range []int{nsrc, len(js.Sizes), len(js.Lines), len(js.Policies)} {
+		if n > 0 && cells > math.MaxInt/n {
+			return 0, fmt.Errorf("grid of %d×%d×%d×%d cells is too large",
+				nsrc, len(js.Sizes), len(js.Lines), len(js.Policies))
+		}
+		cells *= n
+	}
+	return cells, nil
 }
 
 // kind is the job's stream kind for bench sources; instr by default.
@@ -198,14 +208,13 @@ type Manifest struct {
 // job is the in-memory half of a Manifest: live progress, the event
 // tail, and cancellation.
 type job struct {
-	mu       sync.Mutex
-	m        Manifest
-	tail     *tail
-	cancel   func(error) // cancels the job's run context with a cause
-	done     int         // cells finished (journaled or failed)
-	total    int
-	resumed  int // cells restored from the journal on this run
-	deadline time.Time
+	mu      sync.Mutex
+	m       Manifest
+	tail    *tail
+	cancel  func(error) // cancels the job's run context with a cause
+	done    int         // cells finished (journaled or failed)
+	total   int
+	resumed int // cells restored from the journal on this run
 	// enqueuedAt is when the job entered the queue (admission or crash
 	// recovery) — the start point of the queue-wait histogram. Immutable
 	// after construction, so readable without the lock.

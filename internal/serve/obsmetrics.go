@@ -19,7 +19,6 @@ const (
 	MetricJobsFailed     = "dynex_serve_jobs_failed_total"
 	MetricJobsResumed    = "dynex_serve_jobs_resumed_total"
 	MetricCellsCompleted = "dynex_serve_cells_completed_total"
-	MetricCellsResumed   = "dynex_serve_cells_resumed_total"
 	MetricQueueDepth     = "dynex_serve_queue_depth"
 	MetricActiveJobs     = "dynex_serve_active_jobs"
 	MetricQueueWait      = "dynex_serve_job_queue_wait_seconds"
@@ -38,10 +37,10 @@ const (
 // the shared overflow series instead of growing the registry.
 const tenantMaxSeries = 64
 
-// serveMetrics is the server's obs instrument set. It complements (and
-// will eventually replace) the flat Metrics atomics that still back the
-// /debug/vars expvar snapshot; both are bumped together so the two
-// surfaces never disagree.
+// serveMetrics is the server's obs instrument set, the one place a
+// service or job counter lives. Cells restored from a job's journal are
+// dynex_checkpoint_hits_total on inst, not a service counter of their
+// own.
 type serveMetrics struct {
 	reg *obs.Registry
 	// inst is the engine/telemetry instrument set registered on the same
@@ -55,7 +54,6 @@ type serveMetrics struct {
 	jobsFailed   *obs.Counter
 	jobsResumed  *obs.Counter
 	cellsDone    *obs.Counter
-	cellsResumed *obs.Counter
 	queueWait    *obs.Histogram
 	drain        *obs.Gauge
 	reportDeltas *obs.Counter
@@ -74,7 +72,6 @@ func newServeMetrics(q *queue) *serveMetrics {
 	m.jobsFailed = reg.NewCounter(MetricJobsFailed, "Jobs that reached the failed state.")
 	m.jobsResumed = reg.NewCounter(MetricJobsResumed, "Jobs re-enqueued by crash recovery.")
 	m.cellsDone = reg.NewCounter(MetricCellsCompleted, "Cells simulated to completion on this server.")
-	m.cellsResumed = reg.NewCounter(MetricCellsResumed, "Cells restored from job journals instead of re-run.")
 	reg.NewGaugeFunc(MetricQueueDepth, "Jobs admitted but not yet running.", func() float64 {
 		queued, _ := q.depthNow()
 		return float64(queued)

@@ -58,7 +58,6 @@ func (s *Server) runJob(j *job) {
 		j.m.FailedCells = failedCells
 		j.mu.Unlock()
 		s.setState(j, StateDone, "")
-		s.metrics.JobsDone.Add(1)
 		s.obsm.jobsDone.Inc()
 		done, total := j.progress()
 		j.tail.finish(Event{Type: "done", State: StateDone, Done: done, Total: total})
@@ -67,7 +66,6 @@ func (s *Server) runJob(j *job) {
 		j.tail.finish(Event{Type: "done", State: StateCancelled})
 	case errors.Is(err, context.DeadlineExceeded):
 		s.setState(j, StateFailed, "job deadline exceeded")
-		s.metrics.JobsFailed.Add(1)
 		s.obsm.jobsFailed.Inc()
 		j.tail.finish(Event{Type: "done", State: StateFailed, Error: "job deadline exceeded"})
 	case errors.Is(err, errShutdown), errors.Is(err, context.Canceled):
@@ -78,7 +76,6 @@ func (s *Server) runJob(j *job) {
 		return
 	default:
 		s.setState(j, StateFailed, err.Error())
-		s.metrics.JobsFailed.Add(1)
 		s.obsm.jobsFailed.Inc()
 		j.tail.finish(Event{Type: "done", State: StateFailed, Error: err.Error()})
 	}
@@ -106,8 +103,12 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 	}
 	defer journal.Close()
 
+	col := telemetry.NewCollector(len(plan.Cells))
+	col.SetInstruments(s.obsm.inst)
 	// Resume: cells already journaled (a previous run of this job) are
 	// restored and replayed onto the event stream; only the rest run.
+	// The journal traffic is booked on the collector as dynex-sweep
+	// books it.
 	merged := make([]engine.Result, len(plan.Cells))
 	var pendIdx []int
 	var pendCells []engine.Cell
@@ -115,27 +116,26 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 	for i := range plan.Cells {
 		if rec, ok := journal.Lookup(plan.FPs[i]); ok {
 			merged[i] = engine.Result{Label: rec.Label, Stats: rec.Stats, Attempts: rec.Attempts}
+			col.CheckpointHit(rec.Label, time.Duration(rec.WallNS))
 			resumed++
 			continue
 		}
+		col.CheckpointMiss()
 		pendIdx = append(pendIdx, i)
 		pendCells = append(pendCells, plan.Cells[i])
 	}
+	col.SetTotal(len(pendCells))
 	j.mu.Lock()
 	j.total = len(plan.Cells)
 	j.done = resumed
 	j.resumed = resumed
 	j.mu.Unlock()
-	s.metrics.ResumedCells.Add(uint64(resumed))
-	s.obsm.cellsResumed.Add(uint64(resumed))
 	for i := range plan.Cells {
 		if i < len(merged) && merged[i].Attempts > 0 {
 			j.tail.append(cellEvent(i, merged[i], true))
 		}
 	}
 
-	col := telemetry.NewCollector(len(pendCells))
-	col.SetInstruments(s.obsm.inst)
 	col.Start("dynex-serve job " + m.ID)
 	// Periodic report-delta frames: a point-in-time RunReport snapshot on
 	// the job's stream every ReportInterval, so a client watching the
@@ -193,6 +193,7 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Attempts: r.Attempts, Error: r.Err.Error()})
 				return
 			}
+			saveStart := time.Now()
 			if err := journal.Append(checkpoint.Record{
 				Fingerprint: plan.FPs[i], Label: r.Label, Stats: r.Stats,
 				Attempts: r.Attempts, WallNS: int64(r.Wall),
@@ -200,9 +201,10 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 				// The run result is still correct; only durability is
 				// degraded. The cell re-runs after a crash.
 				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Error: "journal: " + err.Error()})
+			} else {
+				col.CheckpointWrite(r.Label, time.Since(saveStart))
 			}
 			merged[i] = r
-			s.metrics.CellsRun.Add(1)
 			s.obsm.cellsDone.Inc()
 			j.mu.Lock()
 			j.done++

@@ -29,7 +29,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,9 +125,8 @@ type Server struct {
 	jobsCancel context.CancelCauseFunc
 	wg         sync.WaitGroup // dispatcher + running jobs
 
-	metrics Metrics
-	// obsm is the typed metrics surface behind GET /metrics; the flat
-	// Metrics atomics above stay for the /debug/vars expvar snapshot.
+	// obsm is the service's only counter set: the registry behind
+	// GET /metrics.
 	obsm *serveMetrics
 }
 
@@ -157,11 +158,7 @@ func New(cfg Config) (*Server, error) {
 			s.seq = m.Seq + 1
 		}
 		j := &job{m: m}
-		nsrc := len(m.Spec.Benches)
-		if m.Spec.Trace != "" {
-			nsrc = 1
-		}
-		j.total = nsrc * len(m.Spec.Sizes) * len(m.Spec.Lines) * len(m.Spec.Policies)
+		j.total, _ = m.Spec.cells() // validated at admission
 		if terminal(m.State) {
 			j.done = j.total
 			s.jobs[m.ID] = j
@@ -174,10 +171,8 @@ func New(cfg Config) (*Server, error) {
 		j.enqueuedAt = time.Now()
 		s.jobs[m.ID] = j
 		s.q.pushRecovered(j)
-		s.metrics.ResumedJobs.Add(1)
 		s.obsm.jobsResumed.Inc()
 	}
-	s.publish("dynex.serve")
 	return s, nil
 }
 
@@ -215,7 +210,6 @@ func (s *Server) Run(ctx context.Context) error {
 		s.jobsCancel(errShutdown)
 		<-finished
 	}
-	s.metrics.DrainNanos.Store(int64(time.Since(drainStart)))
 	s.obsm.drain.Set(time.Since(drainStart).Seconds())
 	return nil
 }
@@ -239,15 +233,13 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // admission error.
 func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 	if err := js.validate(s.cfg); err != nil {
-		s.metrics.RejectedBad.Add(1)
 		s.obsm.rejected.WithLabelValues(tenant, rejectValidation).Inc()
 		return Manifest{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	// If the spec names an uploaded trace, it must exist now — not when
 	// a worker first materializes the stream.
 	if js.Trace != "" {
-		if _, err := s.st.readTrace(traceDigest(js.Trace)); err != nil {
-			s.metrics.RejectedBad.Add(1)
+		if _, err := s.st.readTrace(strings.TrimPrefix(js.Trace, "trace:")); err != nil {
 			s.obsm.rejected.WithLabelValues(tenant, rejectValidation).Inc()
 			return Manifest{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
 		}
@@ -259,11 +251,7 @@ func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 	id := fmt.Sprintf("j%06d", seq)
 	m := Manifest{ID: id, Tenant: tenant, Seq: seq, Spec: js, State: StateQueued}
 	j := &job{m: m, tail: newTail(), enqueuedAt: time.Now()}
-	nsrc := len(js.Benches)
-	if js.Trace != "" {
-		nsrc = 1
-	}
-	j.total = nsrc * len(js.Sizes) * len(js.Lines) * len(js.Policies)
+	j.total, _ = js.cells() // validated above
 	s.jobs[id] = j
 	s.mu.Unlock()
 
@@ -276,7 +264,6 @@ func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 	if s.draining.Load() || !s.q.push(j) {
 		// Refused: roll the durable record back to a terminal state so a
 		// restart does not resurrect a job the client was told to retry.
-		s.metrics.Rejected429.Add(1)
 		s.obsm.rejected.WithLabelValues(tenant, rejectBackpressure).Inc()
 		s.setState(j, StateCancelled, "refused: queue full")
 		code := http.StatusTooManyRequests
@@ -285,7 +272,6 @@ func (s *Server) submit(tenant string, js JobSpec) (Manifest, error) {
 		}
 		return Manifest{}, &httpError{code: code, msg: "queue full, retry later", retryAfter: 1}
 	}
-	s.metrics.Admitted.Add(1)
 	s.obsm.admitted.WithLabelValues(tenant).Inc()
 	return m, nil
 }
@@ -315,16 +301,8 @@ func (s *Server) listJobs() []Status {
 	for i, j := range js {
 		sts[i] = j.status()
 	}
-	sortStatuses(sts)
+	sort.Slice(sts, func(a, b int) bool { return sts[a].ID < sts[b].ID })
 	return sts
-}
-
-func sortStatuses(sts []Status) {
-	for i := 1; i < len(sts); i++ {
-		for k := i; k > 0 && sts[k].ID < sts[k-1].ID; k-- {
-			sts[k], sts[k-1] = sts[k-1], sts[k]
-		}
-	}
 }
 
 // setState persists a job state transition (manifest rewrite is atomic).
@@ -360,14 +338,6 @@ func (s *Server) cancelJob(j *job) Status {
 		}
 	}
 	return j.status()
-}
-
-// traceDigest strips the "trace:" handle prefix.
-func traceDigest(handle string) string {
-	if len(handle) > len("trace:") {
-		return handle[len("trace:"):]
-	}
-	return ""
 }
 
 // httpError is an admission failure with a status code.

@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -201,12 +202,13 @@ func TestServeLoadKillRestart(t *testing.T) {
 		}
 		return false
 	}
+	jobsDone := func() float64 { return metric(t, s1, "dynex_serve_jobs_done_total") }
 	deadline := time.Now().Add(60 * time.Second)
-	for (s1.metrics.JobsDone.Load() < 40 || !midJob()) && time.Now().Before(deadline) {
+	for (jobsDone() < 40 || !midJob()) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := s1.metrics.JobsDone.Load(); got < 40 {
-		t.Fatalf("only %d jobs done before kill deadline", got)
+	if got := jobsDone(); got < 40 {
+		t.Fatalf("only %v jobs done before kill deadline", got)
 	}
 	s1.Kill()
 	ts1.Close()
@@ -245,7 +247,7 @@ func TestServeLoadKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.metrics.ResumedJobs.Load() == 0 {
+	if metric(t, s2, "dynex_serve_jobs_resumed_total") == 0 {
 		t.Error("restart resumed no jobs; the kill should have interrupted some")
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -278,13 +280,37 @@ func TestServeLoadKillRestart(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Every job: terminal, and its CSV byte-identical to the direct run.
+	// The list holds every job, terminal ones loaded from disk
+	// included, in admission (ID) order.
+	var list struct{ Jobs []Status }
+	getJSON(t, ts2.URL+"/v1/jobs", &list)
+	if len(list.Jobs) != len(ids) {
+		t.Errorf("GET /v1/jobs listed %d jobs, want %d", len(list.Jobs), len(ids))
+	}
+	for k := 1; k < len(list.Jobs); k++ {
+		if list.Jobs[k-1].ID >= list.Jobs[k].ID {
+			t.Errorf("GET /v1/jobs out of ID order at %d: %s before %s", k, list.Jobs[k-1].ID, list.Jobs[k].ID)
+			break
+		}
+	}
+
+	// Every job: terminal, its CSV byte-identical to the direct run, and
+	// its report crediting the journal with exactly the cells it
+	// restored.
 	for i, id := range ids {
 		var stt Status
 		getJSON(t, ts2.URL+"/v1/jobs/"+id, &stt)
 		if stt.State != StateDone {
 			t.Errorf("job %s (%d): state %s, err %q", id, i, stt.State, stt.Error)
 			continue
+		}
+		var rep struct {
+			Checkpoint struct{ Hits int } `json:"checkpoint"`
+		}
+		if code := getJSON(t, ts2.URL+"/v1/jobs/"+id+"/report", &rep); code != http.StatusOK {
+			t.Errorf("job %s: report status %d", id, code)
+		} else if rep.Checkpoint.Hits != stt.Resumed {
+			t.Errorf("job %s: report checkpoint.hits = %d, status resumed_cells = %d", id, rep.Checkpoint.Hits, stt.Resumed)
 		}
 		resp, err := http.Get(ts2.URL + "/v1/jobs/" + id + "/csv")
 		if err != nil {
@@ -313,9 +339,53 @@ func TestServeLoadKillRestart(t *testing.T) {
 			t.Errorf("torn job %s resumed no cells", torn)
 		}
 	}
-	if s2.metrics.ResumedCells.Load() == 0 {
+	if metric(t, s2, "dynex_checkpoint_hits_total") == 0 {
 		t.Error("restart replayed no journaled cells; resume did not engage")
 	}
+	// Every cell the restarted server completed was journaled, and each
+	// append was booked on the shared checkpoint series.
+	writes := metric(t, s2, "dynex_checkpoint_writes_total")
+	if completed := metric(t, s2, "dynex_serve_cells_completed_total"); writes == 0 || writes != completed {
+		t.Errorf("dynex_checkpoint_writes_total = %v, dynex_serve_cells_completed_total = %v; want equal and positive", writes, completed)
+	}
+}
+
+// metric renders the server's registry, the bytes GET /metrics serves,
+// and sums every sample of the named series whose labels include each
+// of labels (for example `reason="validation"`). The family must be
+// declared, so a renamed series fails instead of reading 0.
+func metric(t *testing.T, s *Server, name string, labels ...string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# TYPE "+name+" ") {
+		t.Fatalf("metric family %s is not on /metrics", name)
+	}
+	var sum float64
+samples:
+	for _, line := range strings.Split(buf.String(), "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			continue
+		}
+		series, value := line[:sp], line[sp+1:]
+		if series != name && !strings.HasPrefix(series, name+"{") {
+			continue
+		}
+		for _, l := range labels {
+			if !strings.Contains(series, l) {
+				continue samples
+			}
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // TestServeBackpressure pins the 429 contract: with the queue full,
@@ -371,8 +441,8 @@ func TestServeBackpressure(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusServiceUnavailable {
 		t.Errorf("readyz while backlogged = %d, want 503", code)
 	}
-	if s.metrics.Rejected429.Load() != 1 {
-		t.Errorf("rejected_429 = %d, want 1", s.metrics.Rejected429.Load())
+	if n := metric(t, s, "dynex_serve_jobs_rejected_total", `reason="backpressure"`); n != 1 {
+		t.Errorf("backpressure rejections = %v, want 1", n)
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz = %d, want 200 (liveness is not readiness)", code)
@@ -422,7 +492,7 @@ func TestServeDrainZeroLoss(t *testing.T) {
 	// SIGTERM: drain with a grace window far shorter than the jobs.
 	cancel()
 	<-done
-	if d := time.Duration(s.metrics.DrainNanos.Load()); d <= 0 {
+	if d := metric(t, s, "dynex_serve_drain_seconds"); d <= 0 {
 		t.Error("drain time not recorded")
 	}
 
@@ -742,8 +812,17 @@ func TestServeValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
-	if n := s.metrics.RejectedBad.Load(); n != uint64(len(cases)) {
-		t.Errorf("rejected_validation = %d, want %d", n, len(cases))
+	if n := metric(t, s, "dynex_serve_jobs_rejected_total", `reason="validation"`); n != float64(len(cases)) {
+		t.Errorf("validation rejections = %v, want %d", n, len(cases))
+	}
+	// /metrics is the only counter surface: /debug/vars carries Go's own
+	// variables and nothing of the service's.
+	var vars map[string]json.RawMessage
+	getJSON(t, ts.URL+"/debug/vars", &vars)
+	for k := range vars {
+		if strings.HasPrefix(k, "dynex") {
+			t.Errorf("/debug/vars publishes %q", k)
+		}
 	}
 	if _, code := postJob(t, ts.URL, "alice", ok); code != http.StatusAccepted {
 		t.Errorf("valid job refused")

@@ -3,7 +3,8 @@
 // Collector hook) plus checkpoint activity into
 //
 //   - a live Snapshot of run counters (cells done, refs/sec, ETA inputs)
-//     published to CLI progress meters and expvar (/debug/vars),
+//     for CLI progress meters, with the same events feeding the
+//     Instruments behind GET /metrics,
 //   - an optional structured JSONL event trace (cell start/attempt/
 //     finish, checkpoint write/resume, run summary) with monotonic
 //     timestamps, replayable by SummarizeTrace, and
@@ -261,7 +262,7 @@ func (c *Collector) Finish() {
 }
 
 // Snapshot is the collector's live counter set — the payload behind
-// progress meters and the expvar publication.
+// progress meters.
 type Snapshot struct {
 	CellsTotal    int     `json:"cells_total"`
 	CellsStarted  int64   `json:"cells_started"`

@@ -5,14 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
 func TestQuantilesOf(t *testing.T) {
@@ -200,42 +197,5 @@ func TestReadEventsTornTail(t *testing.T) {
 	}
 	if _, err := ReadEvents(strings.NewReader("not json\n")); err == nil {
 		t.Error("corrupt non-tail line: want an error")
-	}
-}
-
-func TestPublishAndServeDebug(t *testing.T) {
-	c := NewCollector(2)
-	feed(c, 1)
-	c.Publish("telemetry.test")
-	// Re-publishing the same name must rebind, not panic.
-	c2 := NewCollector(99)
-	c2.Publish("telemetry.test")
-
-	addr, err := obs.ServeDebug("127.0.0.1:0", obs.NewRegistry())
-	if err != nil {
-		t.Fatalf("obs.ServeDebug: %v", err)
-	}
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return string(body)
-	}
-	vars := get("/debug/vars")
-	if !strings.Contains(vars, `"telemetry.test"`) || !strings.Contains(vars, `"cells_total":99`) {
-		t.Errorf("/debug/vars missing the re-published collector:\n%s", vars)
-	}
-	if out := get("/debug/pprof/cmdline"); out == "" {
-		t.Error("/debug/pprof/cmdline returned an empty body")
 	}
 }

@@ -12,7 +12,9 @@
 #      run of the same grid
 #
 # Along the way it scrapes GET /metrics (DESIGN.md §13) and asserts the
-# admission, completion, and queue-depth series exist and count up.
+# admission, completion, and queue-depth series exist and count up, and
+# that the restarted server booked one checkpoint write per completed
+# cell.
 #
 # Stdlib-only dependencies: curl + the go toolchain.
 set -eu
@@ -66,7 +68,8 @@ curl -sf "$BASE/readyz" >/dev/null || die "readyz not ready on idle server"
 
 say "scraping /metrics on the idle server"
 scrape "$WORK/m0.prom"
-for m in dynex_serve_jobs_admitted_total dynex_serve_cells_completed_total dynex_serve_queue_depth; do
+for m in dynex_serve_jobs_admitted_total dynex_serve_cells_completed_total dynex_serve_queue_depth \
+    dynex_checkpoint_writes_total; do
     has_family "$m" "$WORK/m0.prom" || die "metric family $m missing from /metrics"
 done
 ADMITTED0="$(metric dynex_serve_jobs_admitted_total "$WORK/m0.prom")"
@@ -125,13 +128,18 @@ case "$STATUS" in
 *) die "job did not finish in time: $STATUS" ;;
 esac
 
+say "scraping /metrics after the job finished"
+scrape "$WORK/m3.prom"
+CELLS1="$(metric dynex_serve_cells_completed_total "$WORK/m3.prom")"
 if [ "$RESUMED" = "1" ]; then
-    say "scraping /metrics after the resumed run"
-    scrape "$WORK/m3.prom"
-    CELLS1="$(metric dynex_serve_cells_completed_total "$WORK/m3.prom")"
     [ "$CELLS1" -gt "$CELLS0" ] ||
         die "cells_completed did not increase across the resumed run ($CELLS0 -> $CELLS1)"
 fi
+# Every cell the restarted server completed went through the job's
+# journal, and serve books each append on the shared checkpoint series.
+WRITES="$(metric dynex_checkpoint_writes_total "$WORK/m3.prom")"
+[ "$WRITES" = "$CELLS1" ] ||
+    die "checkpoint_writes ($WRITES) != cells_completed ($CELLS1)"
 
 say "comparing served CSV against a direct dynex-sweep run"
 curl -s "$BASE/v1/jobs/$JOB/csv" >"$WORK/served.csv"
