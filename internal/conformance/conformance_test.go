@@ -118,23 +118,42 @@ func TestColumnStreamSpansColumn(t *testing.T) {
 	}
 }
 
+// premiseCases are the geometries the early-out premise tests check at
+// S and 2S: one-word lines at one and two ways, and multi-word lines at
+// four.
+var premiseCases = []struct {
+	line, size uint64
+	ways       int
+}{
+	{4, 1 << 12, 1},
+	{4, 1 << 12, 2},
+	{16, 1 << 13, 4},
+}
+
 // TestStackProperty asserts the Mattson inclusion property the LRU
 // column kernel rests on: on randomized conflict-heavy streams, every
 // hit at size S is a hit at size 2S (fixed line and ways), checked
 // reference by reference with independent per-cell simulators.
 func TestStackProperty(t *testing.T) {
-	cases := []struct {
-		line, size uint64
-		ways       int
-	}{
-		{4, 1 << 12, 1},
-		{4, 1 << 12, 2},
-		{16, 1 << 13, 4},
-	}
-	for _, c := range cases {
+	for _, c := range premiseCases {
 		c := c
 		t.Run(fmt.Sprintf("line=%d/size=%d/ways=%d", c.line, c.size, c.ways), func(t *testing.T) {
 			CheckStackProperty(t, c.line, c.size, c.ways, Options{Streams: 3})
+		})
+	}
+}
+
+// TestMRAProperty asserts the residency property the FIFO column
+// kernel's early-out rests on: on randomized streams, every reference
+// whose block is its set's most recently accessed block at size S hits
+// at S and at 2S and is the most recently accessed block of its set at
+// 2S (fixed line and ways), checked reference by reference with
+// independent per-cell simulators.
+func TestMRAProperty(t *testing.T) {
+	for _, c := range premiseCases {
+		c := c
+		t.Run(fmt.Sprintf("line=%d/size=%d/ways=%d", c.line, c.size, c.ways), func(t *testing.T) {
+			CheckMRAProperty(t, c.line, c.size, c.ways, Options{Streams: 3})
 		})
 	}
 }

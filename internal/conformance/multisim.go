@@ -20,7 +20,7 @@ import (
 var multisimVariants = map[string][]string{
 	"de":   {"de:sticky=3", "de:store=hashed*4", "de:cold=miss,lastline", "de:nolastline"},
 	"lru":  {"lru:ways=4", "lru:ways=1"},
-	"fifo": {"fifo:ways=4"},
+	"fifo": {"fifo:ways=4", "fifo:ways=1", "fifo:ways=8"},
 }
 
 // CheckMultisimRegistry is the column-kernel differential battery: for
@@ -191,5 +191,92 @@ func CheckStackProperty(t *testing.T, line uint64, size uint64, ways int, opts O
 	if small.Stats().Hits >= big.Stats().Hits {
 		t.Errorf("small cache hits (%d) not below big cache hits (%d); streams are not exercising capacity",
 			small.Stats().Hits, big.Stats().Hits)
+	}
+}
+
+// CheckMRAProperty is the FIFO analogue of CheckStackProperty: it
+// asserts the residency fact the FIFO column kernel's early-out rests
+// on, reference by reference, on randomized streams. At a fixed line
+// size and way count, a reference whose block is the most recently
+// accessed (MRA) block of its set at size S hits at S, hits at 2S, and
+// is the MRA block of its set at 2S too. FIFO has no inclusion (a
+// non-MRA hit at S can miss at 2S), so this is the property that nests.
+// The check tracks each set's last block itself and drives plain
+// per-cell simulators at both sizes, sharing nothing with the column
+// kernel.
+func CheckMRAProperty(t *testing.T, line uint64, size uint64, ways int, opts Options) {
+	t.Helper()
+	if opts.Streams == 0 {
+		opts.Streams = 4
+	}
+	if opts.Refs == 0 {
+		opts.Refs = 6000
+	}
+	spec := "fifo:ways=" + strconv.Itoa(ways)
+	sp, err := policy.Parse(spec)
+	if err != nil {
+		t.Fatalf("parse %q: %v", spec, err)
+	}
+	small := cache.Geometry{Size: size, LineSize: line, Ways: ways}
+	big := small
+	big.Size *= 2
+	build := func(g cache.Geometry) cache.Simulator {
+		sim, err := sp.Build(g)
+		if err != nil {
+			t.Fatalf("build %v: %v", g, err)
+		}
+		return sim
+	}
+	var mra, mraOnlyBig, nonMRAHits int
+	for seed := int64(1); seed <= int64(opts.Streams); seed++ {
+		for _, refs := range [][]trace.Ref{refStream(seed, opts.Refs), columnStream(seed, opts.Refs, []uint64{size, 2 * size})} {
+			simS, simB := build(small), build(big)
+			lastS, lastB := mraTracker(small), mraTracker(big)
+			for i := range refs {
+				addr := refs[i].Addr
+				atS, atB := lastS(addr), lastB(addr)
+				rs, rb := simS.Access(addr), simB.Access(addr)
+				if atS && (rs != cache.Hit || rb != cache.Hit || !atB) {
+					t.Fatalf("seed %d ref %d (addr %#x): MRA at %d bytes but %v there, %v at %d bytes (MRA there: %t)",
+						seed, i, addr, size, rs, rb, size*2, atB)
+				}
+				switch {
+				case atS:
+					mra++
+				case atB:
+					mraOnlyBig++
+				}
+				if !atS && rs == cache.Hit {
+					nonMRAHits++
+				}
+			}
+		}
+	}
+	t.Logf("%d MRA references, %d MRA only at %d bytes, %d non-MRA hits at %d bytes", mra, mraOnlyBig, size*2, nonMRAHits, size)
+	// Non-vacuity: the larger cache must see MRA references the smaller
+	// one does not, and with two or more ways the way lookup below the
+	// MRA must find hits. At one way the MRA block is the only resident
+	// block, so every hit is an MRA reference.
+	if mraOnlyBig == 0 {
+		t.Errorf("no reference was MRA only at %d bytes; streams are not exercising the nesting", size*2)
+	}
+	if ways >= 2 && nonMRAHits == 0 {
+		t.Errorf("no non-MRA reference hit at %d bytes with %d ways; streams are not exercising the way lookup", size, ways)
+	}
+	if ways == 1 && nonMRAHits != 0 {
+		t.Errorf("%d non-MRA references hit a one-way cache, whose only resident block is its MRA", nonMRAHits)
+	}
+}
+
+// mraTracker returns a function reporting whether addr's block is the
+// most recently accessed block of its set under geom, which then
+// records the access.
+func mraTracker(geom cache.Geometry) func(addr uint64) bool {
+	last := make(map[uint64]uint64)
+	return func(addr uint64) bool {
+		set, block := geom.Set(addr), geom.Block(addr)
+		prev, ok := last[set]
+		last[set] = block
+		return ok && prev == block
 	}
 }

@@ -12,8 +12,11 @@ import (
 // members stay cell-by-cell, because a one-cell column has nothing to
 // share and measures slower than the cell's own batch kernel — per
 // reference at 32 KiB over the ten suite mixed streams, 1.4–1.6× for
-// dm, 1.1–1.3× for de and 1.7–1.8× for lru2, with fifo2 level (go test
-// -bench 'CellKernel|Column' ./internal/policy). Cells of
+// dm, 1.1–1.3× for de and 1.7–1.8× for lru2 (go test -bench
+// 'CellKernel|Column' ./internal/policy). fifo2 is the exception: its
+// column's MRA early-out makes a one-member column about 0.7× its cell
+// kernel, but lone fifo2 cells stay per-cell too, so the rule is the
+// same for every family. Cells of
 // column-ineligible policies (policy.Spec.Column decides) and cells
 // the caller's skip function excludes stay cell-by-cell too (nil skips
 // nothing — sweep and serve use it to keep fault-injected cells on the

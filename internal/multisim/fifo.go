@@ -9,29 +9,48 @@ import (
 )
 
 // FIFO is the first-in-first-out size column at a fixed way count.
-// FIFO has no inclusion property (insertion order, not recency, picks
-// victims), so every member carries full state; the kernel shares the
-// block decode and the access clock. The clock is shared safely because
-// every member sees every reference: per-cell simulations would tick
-// identical clocks.
+//
+// FIFO has no inclusion property — insertion order, not recency, picks
+// victims, so a non-MRA hit at size S can miss at 2S — but MRA
+// residency nests (DEW, arXiv:1506.03181). A set's most recently
+// accessed (MRA) block is always resident: a FIFO hit changes no state,
+// and nothing on the column path bypasses or invalidates. With nested
+// power-of-two set counts, every reference to a set at 2S also maps to
+// its parent set at S, so a block that is MRA at size S is MRA at every
+// larger member. The kernel walks members ascending and stops at the
+// first whose MRA equals the block: the reference is counted once
+// there, in hitFrom[kmin], as in DM and LRU, and only the members below
+// it look up their ways, fill on a miss and set their MRA. Outcomes
+// adds the hitFrom prefix sum to each member's own non-MRA hits.
+//
+// Victim choice needs no clock. With no invalidation, cache.SetAssoc's
+// "first invalid way, else the oldest fill" is fill in way order, then
+// round-robin, so one wave counter per set stands in for the per-way
+// fill stamps and valid flags.
 type FIFO struct {
 	lineShift int
-	ways      int
-	clock     uint64
-	members   []fifoMember
+	ways      uint64
+	members   []fifoMember // ascending by size
 	order     []int
-	accesses  uint64
+	// hitFrom[k] counts references whose smallest MRA member is k;
+	// hitFrom[len(members)] counts references no member had as MRA.
+	hitFrom  []uint64
+	accesses uint64
 }
 
 type fifoMember struct {
 	setMask uint64
-	// Way state is flat (set-major, ways contiguous), matching the
+	mra     []uint64 // per set: the most recently accessed block, once wave > 0
+	// wave[set] counts the set's fills while it has invalid ways, so
+	// ways [0, wave) are valid and the next fill takes way wave; once
+	// the set is full it cycles through [ways, 2*ways), and the next
+	// fill evicts way wave-ways. (2*ways fits: a set of 2^31 ways would
+	// need 16 GiB of tags.)
+	wave []uint32
+	// tags is flat (set-major, ways contiguous), matching the
 	// cache.SetAssoc batch kernel layout.
 	tags   []uint64
-	valid  []bool
-	stamp  []uint64
-	hits   uint64
-	fills  uint64
+	hits   uint64 // hits found by a way lookup, below the MRA walk's stop
 	evicts uint64
 }
 
@@ -43,44 +62,52 @@ func NewFIFO(line uint64, sizes []uint64, ways int) (*FIFO, error) {
 	}
 	c := &FIFO{
 		lineShift: bits.TrailingZeros64(line),
-		ways:      ways,
+		ways:      uint64(ways),
 		members:   make([]fifoMember, len(sizes)),
 		order:     ascendingSizes(sizes),
+		hitFrom:   make([]uint64, len(sizes)+1),
 	}
 	for k, oi := range c.order {
 		nsets := sizes[oi] / (line * uint64(ways))
-		nways := nsets * uint64(ways)
 		c.members[k] = fifoMember{
 			setMask: nsets - 1,
-			tags:    make([]uint64, nways),
-			valid:   make([]bool, nways),
-			stamp:   make([]uint64, nways),
+			mra:     make([]uint64, nsets),
+			wave:    make([]uint32, nsets),
+			tags:    make([]uint64, nsets*uint64(ways)),
 		}
 	}
 	return c, nil
 }
 
 // Batch advances every member over the chunk, mirroring
-// cache.SetAssoc's FIFO semantics: the clock ticks once per access
-// (hits included), a hit touches nothing, and a miss fills the first
-// invalid way or evicts the minimum-stamp way, stamping the fill with
-// the current clock. Victim scan order matches SetAssoc's way order.
+// cache.SetAssoc's FIFO semantics: a hit touches nothing but the MRA
+// block, and a miss fills the next way in the set's wave, evicting once
+// the set is full. The walk stops at the first member whose MRA is the
+// block (see the type comment), so only the members below it do any
+// work.
 //
 //dynexcheck:hot
 func (c *FIFO) Batch(refs []trace.Ref) {
 	members := c.members
+	hitFrom := c.hitFrom
 	shift := c.lineShift
 	ways := c.ways
-	clock := c.clock
 	for i := range refs {
-		clock++
 		block := refs[i].Addr >> shift
-		for k := range members {
+		k := 0
+		for ; k < len(members); k++ {
 			m := &members[k]
-			base := int(block&m.setMask) * ways
+			set := block & m.setMask
+			if m.mra[set] == block && m.wave[set] != 0 {
+				break
+			}
+			m.mra[set] = block
+			wave := uint64(m.wave[set])
+			base := set * ways
+			tags := m.tags[base : base+ways : base+ways]
 			hit := false
-			for w := base; w < base+ways; w++ {
-				if m.valid[w] && m.tags[w] == block {
+			for _, tag := range tags[:min(wave, ways)] {
+				if tag == block {
 					hit = true
 					break
 				}
@@ -89,43 +116,39 @@ func (c *FIFO) Batch(refs []trace.Ref) {
 				m.hits++
 				continue
 			}
-			victim := -1
-			for w := base; w < base+ways; w++ {
-				if !m.valid[w] {
-					victim = w
-					break
-				}
-			}
-			if victim < 0 {
-				victim = base
-				for w := base + 1; w < base+ways; w++ {
-					if m.stamp[w] < m.stamp[victim] {
-						victim = w
-					}
-				}
+			if wave < ways {
+				tags[wave] = block
+				wave++
+			} else {
+				tags[wave-ways] = block
 				m.evicts++
+				if wave++; wave == 2*ways {
+					wave = ways
+				}
 			}
-			m.tags[victim] = block
-			m.valid[victim] = true
-			m.stamp[victim] = clock
-			m.fills++
+			m.wave[set] = uint32(wave)
 		}
+		hitFrom[k]++
 	}
-	c.clock = clock
 	c.accesses += uint64(len(refs))
 }
 
 // Outcomes returns cumulative per-member stats in constructor size
-// order. Set-associative caches never bypass: misses equal fills.
+// order: member k's hits are the references counted at or below it by
+// the MRA walk plus its own way-lookup hits. Set-associative caches
+// never bypass: misses equal fills.
 func (c *FIFO) Outcomes() []engine.ColumnOutcome {
 	outs := make([]engine.ColumnOutcome, len(c.members))
+	mraHits := uint64(0)
 	for k := range c.members {
 		m := &c.members[k]
+		mraHits += c.hitFrom[k]
+		hits := mraHits + m.hits
 		outs[c.order[k]] = engine.ColumnOutcome{Stats: cache.Stats{
 			Accesses:  c.accesses,
-			Hits:      m.hits,
-			Misses:    m.fills,
-			Fills:     m.fills,
+			Hits:      hits,
+			Misses:    c.accesses - hits,
+			Fills:     c.accesses - hits,
 			Evictions: m.evicts,
 		}}
 	}

@@ -9,7 +9,7 @@
 // each size's set index is just that block masked by its own set count,
 // so the per-reference cost of adding another size to the column is one
 // mask and one table probe instead of a full simulation pass over the
-// stream. Two kernels go further than sharing the decode:
+// stream. Three kernels go further than sharing the decode:
 //
 //   - DM exploits the stack property of direct-mapped bit selection
 //     (1-way LRU): a block resident at size S is resident at every
@@ -25,10 +25,17 @@
 //     set mask only filters which stack entries count toward the
 //     distance. Hits are counted by first hitting member as in DM, and
 //     only the members below it, which miss, update their fill state.
+//   - FIFO has no inclusion property (insertion-order victims break
+//     it: a non-MRA hit at S can miss at 2S), but MRA residency nests,
+//     as DEW observes: a set's most recently accessed (MRA) block is
+//     always resident, and with nested set counts a block that is MRA
+//     at S is MRA at every larger size. The walk stops at the first
+//     member whose MRA is the block and counts the reference there, as
+//     in DM; only the members below it look up their ways.
 //
-// DE and FIFO have no inclusion property (DE's bypasses and FIFO's
-// insertion-order victims break it), so their kernels are plain
-// lockstep columns: full per-member state, one shared decode.
+// DE has no inclusion property either (a sticky bypass keeps a block
+// out of a small cache while a larger one admits it), so it is the one
+// lockstep column: full per-member state, one shared decode.
 //
 // Kernels implement engine.Column. Batch methods are annotated
 // //dynexcheck:hot — all state is preallocated at construction, and the
@@ -36,7 +43,10 @@
 // Correctness against the per-cell path is pinned twice: the
 // conformance column battery (internal/conformance), and the sweep
 // tests comparing a full-registry sweep's CSV and journal against a
-// per-cell run of the same plan (cmd/dynex-sweep).
+// per-cell run of the same plan (cmd/dynex-sweep). The premises of the
+// LRU and FIFO early-outs, inclusion and MRA residency, are checked on
+// their own against plain per-cell simulators
+// (conformance.CheckStackProperty and CheckMRAProperty).
 package multisim
 
 import (
@@ -77,8 +87,8 @@ func Validate(line uint64, sizes []uint64, ways int) error {
 
 // ascendingSizes returns positions into sizes ordered by ascending size
 // (stable, so duplicate sizes keep their relative order). Kernels
-// process members ascending — first-hit counting in DM and LRU needs
-// it — while Outcomes must come back in the caller's order, so each
+// process members ascending — first-hit counting in DM, LRU and FIFO
+// needs it — while Outcomes must come back in the caller's order, so each
 // kernel keeps this permutation: member k reports at order[k].
 func ascendingSizes(sizes []uint64) []int {
 	order := make([]int, len(sizes))
