@@ -67,6 +67,7 @@ fuzz:
 	go test -fuzz FuzzFileReader -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzSimulateDM -fuzztime 30s ./internal/opt/
+	go test -fuzz FuzzJournalOpen -fuzztime 30s ./internal/checkpoint/
 
 # End-to-end crash-safety smoke for dynex-serve (DESIGN.md §12): start
 # the service (race-enabled build), submit a job, SIGTERM it mid-run,

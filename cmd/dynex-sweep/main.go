@@ -53,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -62,7 +61,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -149,9 +147,9 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("bad -policies: %w", err)
 		}
 	}
-	injectStreamFail, injectPanic, err := parseInject(*inject)
+	inj, err := faultinject.ParseDirective(*inject)
 	if err != nil {
-		return err
+		return fmt.Errorf("bad -inject: %w", err)
 	}
 
 	var benchNames []string
@@ -177,11 +175,6 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if injectStreamFail > 0 {
-		for i := range sources {
-			sources[i].Stream = faultinject.FlakyStream(sources[i].Stream, faultinject.NewBudget(injectStreamFail))
-		}
-	}
 	plan, err := grid.Spec{
 		Sources: sources, Kind: *kind, Refs: *refs,
 		Sizes: sizeList, Lines: lineList, Policies: polList,
@@ -189,12 +182,8 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cells, fps := plan.Cells, plan.FPs
-	for i := range cells {
-		if injectPanic != "" && strings.Contains(cells[i].Label, injectPanic) {
-			injectCellPanic(&cells[i])
-		}
-	}
+	skip := inj.Apply(&plan)
+	nCells := len(plan.Cells)
 
 	// Telemetry: one collector feeds the progress meter, the -report
 	// aggregation, the -trace-events log, and the -debug-addr /metrics
@@ -202,7 +191,7 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// and without these flags.
 	var col *telemetry.Collector
 	if *progress || *reportPath != "" || *traceFile != "" || *debugAddr != "" {
-		col = telemetry.NewCollector(len(cells))
+		col = telemetry.NewCollector(nCells)
 		if *traceFile != "" {
 			tw, err := telemetry.OpenTrace(*traceFile)
 			if err != nil {
@@ -234,9 +223,14 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Resume: cells already in the journal are prefilled and skipped; only
-	// the remainder is scheduled.
-	merged := make([]engine.Result, len(cells))
+	// A typed-nil *Collector must not become a non-nil interface.
+	var engCol engine.Collector
+	var book grid.Book
+	if col != nil {
+		engCol, book = col, col
+	}
+	// Resume: cells already in the journal are restored; only the
+	// remainder is scheduled.
 	var journal *checkpoint.Journal
 	if *ckptPath != "" {
 		journal, err = checkpoint.Open(*ckptPath)
@@ -245,31 +239,13 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		defer journal.Close()
 	}
-	var pendIdx []int
-	var pendCells []engine.Cell
-	for i := range cells {
-		if journal != nil {
-			if rec, ok := journal.Lookup(fps[i]); ok {
-				merged[i] = engine.Result{Label: cells[i].Label, Stats: rec.Stats,
-					Attempts: rec.Attempts, Wall: time.Duration(rec.WallNS)}
-				if col != nil {
-					col.CheckpointHit(cells[i].Label, time.Duration(rec.WallNS))
-				}
-				continue
-			}
-			if col != nil {
-				col.CheckpointMiss()
-			}
-		}
-		pendIdx = append(pendIdx, i)
-		pendCells = append(pendCells, cells[i])
-	}
+	merged, pending := plan.Restore(journal, book)
 	if col != nil {
-		col.SetTotal(len(pendCells))
+		col.SetTotal(len(pending))
 	}
-	if journal != nil && len(pendCells) < len(cells) {
+	if journal != nil && len(pending) < nCells {
 		fmt.Fprintf(stderr, "dynex-sweep: resuming: %d of %d cells journaled, %d to run\n",
-			len(cells)-len(pendCells), len(cells), len(pendCells))
+			nCells-len(pending), nCells, len(pending))
 	}
 
 	var report func(done, total int)
@@ -291,59 +267,35 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	sweepCtx, bail := context.WithCancel(ctx)
 	defer bail()
 	failures, bailed := 0, false
-	onResult := func(pi int, r engine.Result) {
-		// Serialized by the engine: no locking needed here.
-		if r.Err == nil {
-			if journal != nil {
-				rec := checkpoint.Record{Fingerprint: fps[pendIdx[pi]], Label: r.Label,
-					Stats: r.Stats, Attempts: r.Attempts, WallNS: int64(r.Wall)}
-				saveStart := time.Now()
-				if err := journal.Append(rec); err != nil {
-					fmt.Fprintf(stderr, "dynex-sweep: checkpoint: %v\n", err)
-				} else if col != nil {
-					col.CheckpointWrite(r.Label, time.Since(saveStart))
-				}
+
+	// Size columns (DESIGN.md §15) change scheduling only: results,
+	// journal records, and CSV bytes are pinned to the per-cell path.
+	runErr := plan.Run(sweepCtx, merged, pending, grid.RunOptions{
+		Engine: engine.Options{
+			Workers:     *workers,
+			Progress:    report,
+			Retry:       engine.Retry{Attempts: *retries + 1},
+			CellTimeout: *cellTimeout,
+			Collector:   engCol,
+		},
+		Journal: journal,
+		Book:    book,
+		Skip:    skip,
+		OnCell: func(_ int, r engine.Result, appendErr error) {
+			// Serialized by the engine: no locking needed here.
+			if appendErr != nil {
+				fmt.Fprintf(stderr, "dynex-sweep: checkpoint: %v\n", appendErr)
 			}
-			return
-		}
-		if errors.Is(r.Err, context.Canceled) {
-			return // a cancellation casualty, not a failure of its own
-		}
-		failures++
-		if *maxFailures > 0 && failures >= *maxFailures && !bailed {
-			bailed = true
-			bail()
-		}
-	}
-
-	// Column units (DESIGN.md §15): partition the pending cells into
-	// maximal single-pass size columns. Scheduling only — results,
-	// journal records, and CSV bytes are pinned identical to the
-	// cell-by-cell path. Panic-injected cells stay per-cell: the
-	// injection wraps the cell's own simulator, which a column kernel
-	// never constructs, so grouping them would un-inject the fault.
-	var skip func(int) bool
-	if injectPanic != "" {
-		skip = func(pi int) bool { return strings.Contains(cells[pi].Label, injectPanic) }
-	}
-	groups := plan.Partition(pendIdx, skip)
-
-	// A typed-nil *Collector must not become a non-nil interface.
-	var engCol engine.Collector
-	if col != nil {
-		engCol = col
-	}
-	fresh, runErr := engine.RunGrouped(sweepCtx, pendCells, groups, engine.Options{
-		Workers:     *workers,
-		Progress:    report,
-		OnResult:    onResult,
-		Retry:       engine.Retry{Attempts: *retries + 1},
-		CellTimeout: *cellTimeout,
-		Collector:   engCol,
+			if r.Err == nil || errors.Is(r.Err, context.Canceled) {
+				return // a cancellation casualty is not a failure of its own
+			}
+			failures++
+			if *maxFailures > 0 && failures >= *maxFailures && !bailed {
+				bailed = true
+				bail()
+			}
+		},
 	})
-	for pi, i := range pendIdx {
-		merged[i] = fresh[pi]
-	}
 	if runErr != nil && !bailed {
 		return runErr // the user's interrupt, not a cell failure
 	}
@@ -359,7 +311,7 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(failed) == 0 {
 		return nil
 	}
-	fmt.Fprintf(stderr, "dynex-sweep: %d of %d cells failed (rows withheld from CSV):\n", len(failed), len(cells))
+	fmt.Fprintf(stderr, "dynex-sweep: %d of %d cells failed (rows withheld from CSV):\n", len(failed), nCells)
 	for _, f := range failed {
 		if f.Attempts > 1 {
 			fmt.Fprintf(stderr, "  %s: %v (after %d attempts)\n", f.Label, f.Err, f.Attempts)
@@ -370,51 +322,7 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if bailed {
 		return fmt.Errorf("aborted after %d cell failures (-max-failures=%d)", failures, *maxFailures)
 	}
-	return fmt.Errorf("%d of %d cells failed", len(failed), len(cells))
-}
-
-// parseInject decodes the -inject flag: "stream-fail=N" makes each
-// benchmark's stream fail transiently N times (cleared by retries);
-// "panic=SUBSTR" panics inside every cell whose label contains SUBSTR.
-func parseInject(s string) (streamFail int, panicSubstr string, err error) {
-	if s == "" {
-		return 0, "", nil
-	}
-	mode, arg, ok := strings.Cut(s, "=")
-	if ok {
-		switch mode {
-		case "stream-fail":
-			n, err := strconv.Atoi(arg)
-			if err == nil && n > 0 {
-				return n, "", nil
-			}
-		case "panic":
-			if arg != "" {
-				return 0, arg, nil
-			}
-		}
-	}
-	return 0, "", fmt.Errorf("bad -inject %q: want stream-fail=N or panic=SUBSTR", s)
-}
-
-// injectCellPanic rewires a cell so its simulation panics — the
-// worker-killing failure the engine must isolate.
-func injectCellPanic(cell *engine.Cell) {
-	switch {
-	case cell.Policy != nil:
-		inner := cell.Policy
-		cell.Policy = func(g cache.Geometry) (cache.Simulator, error) {
-			sim, err := inner(g)
-			if err != nil {
-				return nil, err
-			}
-			return faultinject.NewPanicSim(sim, 1), nil
-		}
-	case cell.Direct != nil:
-		cell.Direct = func([]trace.Ref, cache.Geometry) (cache.Stats, error) {
-			panic("faultinject: injected panic in direct cell")
-		}
-	}
+	return fmt.Errorf("%d of %d cells failed", len(failed), nCells)
 }
 
 func parseUints(s string) ([]uint64, error) {

@@ -61,18 +61,19 @@ func TestFSMFixture(t *testing.T) {
 }
 
 // TestCollectorPurityFixture pins collector-purity across Collector
-// method bodies and Options hook literals, named hook functions, and
-// field assignments. Goroutine hand-off, select-with-default sends, and
+// method bodies and Options hook literals, named hook functions, field
+// assignments, and grid.RunOptions' OnCell hook. Goroutine hand-off, select-with-default sends, and
 // same-named methods on non-implementing types pass.
 func TestCollectorPurityFixture(t *testing.T) {
 	wantDiags(t, checkFixture(t, "purity"), []string{
-		`col/col.go:17: [collector-purity] Collector.CellStarted calls time.Sleep: hooks sit on the scheduling path and must not block`,
-		`col/col.go:22: [collector-purity] Collector.CellAttempted panics: telemetry must never change what a run computes`,
-		`col/col.go:27: [collector-purity] Collector.CellFinished calls os.Exit: hooks must not terminate the run`,
-		`col/col.go:57: [collector-purity] Collector.CellFinished performs a channel send that can block the run (use a select with default)`,
-		`col/col.go:71: [collector-purity] Options.OnResult panics: telemetry must never change what a run computes`,
-		`col/col.go:76: [collector-purity] Options.OnResult calls time.Sleep: hooks sit on the scheduling path and must not block`,
-		`col/col.go:83: [collector-purity] Options.Progress calls os.Exit: hooks must not terminate the run`,
+		`col/col.go:18: [collector-purity] Collector.CellStarted calls time.Sleep: hooks sit on the scheduling path and must not block`,
+		`col/col.go:23: [collector-purity] Collector.CellAttempted panics: telemetry must never change what a run computes`,
+		`col/col.go:28: [collector-purity] Collector.CellFinished calls os.Exit: hooks must not terminate the run`,
+		`col/col.go:58: [collector-purity] Collector.CellFinished performs a channel send that can block the run (use a select with default)`,
+		`col/col.go:72: [collector-purity] Options.OnResult panics: telemetry must never change what a run computes`,
+		`col/col.go:77: [collector-purity] Options.OnResult calls time.Sleep: hooks sit on the scheduling path and must not block`,
+		`col/col.go:84: [collector-purity] Options.Progress calls os.Exit: hooks must not terminate the run`,
+		`col/col.go:93: [collector-purity] Options.OnCell calls os.Exit: hooks must not terminate the run`,
 	})
 }
 

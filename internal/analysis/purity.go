@@ -20,12 +20,14 @@ var CollectorPurityAnalyzer = &Analyzer{
 	Run:  runCollectorPurity,
 }
 
-// hookFieldNames are the engine.Options callback fields whose function
-// values this check inspects.
-var hookFieldNames = map[string]bool{"OnResult": true, "Progress": true}
+// hookFieldNames are the callback fields whose function values this
+// check inspects: engine.Options' OnResult and Progress, and
+// grid.RunOptions' OnCell, which a journaled run calls from OnResult.
+var hookFieldNames = map[string]bool{"OnResult": true, "Progress": true, "OnCell": true}
 
 func runCollectorPurity(pass *Pass) {
 	enginePath := pass.Module.Path + "/internal/engine"
+	gridPath := pass.Module.Path + "/internal/grid"
 	// Resolve the Collector interface as this package sees it: the
 	// engine package (and its in-package tests) use their own view, so
 	// implementations inside engine itself are still recognized.
@@ -111,7 +113,7 @@ func runCollectorPurity(pass *Pass) {
 					if !ok || !hookFieldNames[key.Name] {
 						continue
 					}
-					if f, ok := info.Uses[key].(*types.Var); ok && f.Pkg() != nil && f.Pkg().Path() == enginePath {
+					if f, ok := info.Uses[key].(*types.Var); ok && f.Pkg() != nil && (f.Pkg().Path() == enginePath || f.Pkg().Path() == gridPath) {
 						checkHookExpr(kv.Value, "Options."+key.Name)
 					}
 				}
@@ -121,7 +123,7 @@ func runCollectorPurity(pass *Pass) {
 					if !ok || !hookFieldNames[sel.Sel.Name] || i >= len(n.Rhs) {
 						continue
 					}
-					if f, ok := info.Uses[sel.Sel].(*types.Var); ok && f.Pkg() != nil && f.Pkg().Path() == enginePath {
+					if f, ok := info.Uses[sel.Sel].(*types.Var); ok && f.Pkg() != nil && (f.Pkg().Path() == enginePath || f.Pkg().Path() == gridPath) {
 						checkHookExpr(n.Rhs[i], "Options."+sel.Sel.Name)
 					}
 				}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fix/internal/engine"
+	"fix/internal/grid"
 )
 
 // Bad blocks or perturbs the run in every method: three findings.
@@ -84,3 +85,12 @@ func report(done, total int) {
 }
 
 var _ = half{}
+
+// GridHooks wires an impure grid run hook: one finding.
+func GridHooks() grid.RunOptions {
+	return grid.RunOptions{
+		OnCell: func(i int, r engine.Result, appendErr error) {
+			os.Exit(i)
+		},
+	}
+}

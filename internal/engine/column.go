@@ -197,7 +197,7 @@ func runGroup(ctx context.Context, indices []int, newColumn func() (Column, erro
 		if err == nil || attempt >= opts.Retry.Attempts ||
 			ctx.Err() != nil || errors.Is(err, context.Canceled) ||
 			errors.Is(err, context.DeadlineExceeded) ||
-			!opts.Retry.classify(err) {
+			!IsTransient(err) {
 			break
 		}
 		if sleepCtx(ctx, opts.Retry.delay(attempt)) != nil {

@@ -166,12 +166,12 @@ func TestRunGroupedRetry(t *testing.T) {
 	groups[0].NewColumn = func() (Column, error) {
 		if fails > 0 {
 			fails--
-			return nil, errors.New("transient column hiccup")
+			return nil, &transientErr{n: 2 - fails}
 		}
 		return inner()
 	}
 	results, err := RunGrouped(context.Background(), cells, groups, Options{
-		Retry: Retry{Attempts: 3, BaseDelay: 1, MaxDelay: 1, Classify: func(error) bool { return true }},
+		Retry: Retry{Attempts: 3, BaseDelay: 1, MaxDelay: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 //
 //   - Panics are recovered on the worker and become that cell's
 //     *CellPanicError; one faulty policy never takes down the sweep.
-//   - Errors classified transient (Retry.Classify, default IsTransient)
-//     are retried with jittered exponential backoff.
+//   - Errors classified transient (IsTransient) are retried with
+//     jittered exponential backoff.
 //   - Options.CellTimeout bounds each attempt via cooperative deadline
 //     checks between simulation batches (ErrCellTimeout).
 //
@@ -44,8 +44,8 @@ func (e *CellPanicError) Error() string {
 // batch boundary past its deadline instead of hanging the sweep.
 var ErrCellTimeout = errors.New("engine: cell exceeded CellTimeout")
 
-// Retry configures transient-failure retry for every cell of a Run.
-// The zero value disables retry.
+// Retry configures transient-failure retry (see IsTransient) for every
+// cell of a Run. The zero value disables retry.
 type Retry struct {
 	// Attempts is the maximum number of times a cell is run; <= 1 means
 	// a single attempt (no retry).
@@ -57,18 +57,6 @@ type Retry struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 1s).
 	MaxDelay time.Duration
-	// Classify reports whether an error is transient (worth retrying).
-	// nil means IsTransient. Context errors are never retried regardless
-	// of Classify: a cancelled sweep must wind down, not back off.
-	Classify func(error) bool
-}
-
-// classify applies Classify or the IsTransient default.
-func (r Retry) classify(err error) bool {
-	if r.Classify != nil {
-		return r.Classify(err)
-	}
-	return IsTransient(err)
 }
 
 // delay returns the jittered backoff after the given failed attempt
@@ -93,10 +81,10 @@ func (r Retry) delay(attempt int) time.Duration {
 // internal/faultinject's injected faults do.
 type transienter interface{ Transient() bool }
 
-// IsTransient is the default Retry.Classify: an error is transient if any
-// error in its chain implements Transient() bool and reports true, or is
-// the EIO that flaky storage surfaces for trace-file reads. Panics,
-// timeouts, and context errors are not transient.
+// IsTransient is Retry's classifier: an error is transient if any error
+// in its chain implements Transient() bool and reports true, or is the
+// EIO that flaky storage surfaces for trace-file reads. Panics, timeouts,
+// and context errors are not transient.
 func IsTransient(err error) bool {
 	var t transienter
 	if errors.As(err, &t) {

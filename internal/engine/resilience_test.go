@@ -172,45 +172,6 @@ func TestFaultRetryPermanent(t *testing.T) {
 	}
 }
 
-// TestFaultRetryClassify checks a custom classifier overrides the default.
-func TestFaultRetryClassify(t *testing.T) {
-	boom := errors.New("retry me anyway")
-	cells := []Cell{{
-		Label:    "custom",
-		Geometry: cache.DM(64, 4),
-		Stream:   flakyStreamErr(seqRefs(0, 8), 1, boom),
-		Policy:   dmPolicy,
-	}}
-	results, err := Run(context.Background(), cells, Options{
-		Retry: Retry{
-			Attempts:  2,
-			BaseDelay: time.Millisecond,
-			Classify:  func(err error) bool { return errors.Is(err, boom) },
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := results[0]; r.Err != nil || r.Attempts != 2 {
-		t.Errorf("classifier not honored: attempts=%d err=%v", r.Attempts, r.Err)
-	}
-}
-
-// flakyStreamErr is flakyStream with a caller-chosen error.
-func flakyStreamErr(refs []trace.Ref, fails int, err error) func() ([]trace.Ref, error) {
-	var mu sync.Mutex
-	n := 0
-	return func() ([]trace.Ref, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if n < fails {
-			n++
-			return nil, err
-		}
-		return refs, nil
-	}
-}
-
 // TestFaultCellTimeout checks a cell that outruns CellTimeout yields
 // ErrCellTimeout at a batch boundary instead of hanging the sweep, while
 // a fast sibling completes.

@@ -270,11 +270,11 @@ func suiteRates(w *Workloads, kind kindOf, rate func(refs []trace.Ref) float64) 
 // sweepAverages computes suite-average miss-rate curves for the three
 // policies over the given cache sizes at one line size. The paper's
 // Figures 4, 11, 12, 14, and 15 are all instances of this sweep. The
-// whole benchmark × size × policy grid is one grid.Plan run by one
-// engine call, so cells from different sizes execute concurrently, and
-// grid.Plan.Partition runs each (benchmark, policy) size column as one
-// multisim kernel pass where the policy has one (dm and de here; opt
-// needs the whole stream before its first decision and stays per-cell).
+// whole benchmark × size × policy grid is one grid.Plan.Run with no
+// journal, so cells from different sizes execute concurrently, and
+// each (benchmark, policy) size column runs as one multisim kernel pass
+// where the policy has one (dm and de here; opt needs the whole stream
+// before its first decision and stays per-cell).
 // The engine's deterministic result order makes the aggregation
 // independent of scheduling.
 func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, lastLine bool) (dm, de, op metrics.Series) {
@@ -294,15 +294,11 @@ func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, l
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	all := make([]int, len(plan.Cells))
-	for i := range all {
-		all[i] = i
-	}
-	results, err := engine.RunGrouped(w.cfg.ctx(), plan.Cells, plan.Partition(all, nil), engine.Options{
+	results, pending := plan.Restore(nil, nil) // no journal: every cell runs
+	if err := plan.Run(w.cfg.ctx(), results, pending, grid.RunOptions{Engine: engine.Options{
 		Workers:   w.cfg.workers(),
 		Collector: w.cfg.Collector,
-	})
-	if err != nil {
+	}}); err != nil {
 		// An error here is the caller's cancellation; panic with an error
 		// value wrapping it so the CLI's recover can errors.Is it.
 		panic(fmt.Errorf("experiments: %w", err))

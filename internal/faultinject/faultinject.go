@@ -11,8 +11,8 @@
 // reader or stream, and the fault is gone.
 //
 // The package is the substrate for the engine-level fault suite (this
-// package's tests, run by `make faults`) and for the -inject flag of
-// cmd/dynex-sweep.
+// package's tests, run by `make faults`) and, through Directive, for
+// dynex-sweep's -inject flag and dynex-serve's JobSpec.Inject.
 package faultinject
 
 import (

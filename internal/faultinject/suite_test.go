@@ -424,8 +424,8 @@ func TestSlowSimBatchParity(t *testing.T) {
 // a sweep crashes mid-write of its final journal record, leaving a
 // partial JSONL line. The resumed run must skip the torn tail, re-run
 // only that one cell, and emit a CSV byte-identical to an uninterrupted
-// sweep — the contract dynex-sweep -resume and dynex-serve job recovery
-// both stand on.
+// sweep. Both runs take grid.Plan's Restore and Run steps, the ones
+// dynex-sweep -checkpoint and dynex-serve job recovery take.
 func TestFaultSuiteTornRecordResume(t *testing.T) {
 	sources, err := grid.BenchSources([]string{"gcc"}, "instr", 5000)
 	if err != nil {
@@ -449,25 +449,27 @@ func TestFaultSuiteTornRecordResume(t *testing.T) {
 		t.Fatalf("clean run: failed=%v err=%v", failed, err)
 	}
 
-	// The crashing run journals every cell, then the crash tears the last
-	// record: everything after its midpoint (newline included) is lost.
-	// Cells finish in completion order, so the torn record is whichever
-	// cell was journaled last, not necessarily the last cell of the plan.
+	// The crashing run journals every cell through the shared restore
+	// and run steps, then the crash tears the last record: everything
+	// after its midpoint (newline included) is lost. Cells finish in
+	// completion order, so the torn record is whichever cell was
+	// journaled last, not necessarily the last cell of the plan.
 	path := t.TempDir() + "/torn.jsonl"
 	j, err := checkpoint.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, pending := plan.Restore(j, nil)
 	tornIdx := -1
-	if _, err := engine.Run(context.Background(), plan.Cells, engine.Options{
-		OnResult: func(i int, r engine.Result) {
-			if r.Err != nil {
-				return
+	if err := plan.Run(context.Background(), results, pending, grid.RunOptions{
+		Journal: j,
+		OnCell: func(i int, r engine.Result, appendErr error) {
+			if appendErr != nil {
+				t.Error(appendErr)
 			}
-			if err := j.Append(checkpoint.Record{Fingerprint: plan.FPs[i], Label: r.Label, Stats: r.Stats, Attempts: r.Attempts}); err != nil {
-				t.Error(err)
+			if r.Err == nil {
+				tornIdx = i // OnCell calls are serialized
 			}
-			tornIdx = i // OnResult calls are serialized
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -498,26 +500,15 @@ func TestFaultSuiteTornRecordResume(t *testing.T) {
 	if j2.Len() != len(plan.Cells)-1 {
 		t.Fatalf("resumed journal holds %d records, want %d", j2.Len(), len(plan.Cells)-1)
 	}
-	merged := make([]engine.Result, len(plan.Cells))
-	var pendIdx []int
-	var pendCells []engine.Cell
-	for i := range plan.Cells {
-		if rec, ok := j2.Lookup(plan.FPs[i]); ok {
-			merged[i] = engine.Result{Label: rec.Label, Stats: rec.Stats, Attempts: rec.Attempts}
-			continue
-		}
-		pendIdx = append(pendIdx, i)
-		pendCells = append(pendCells, plan.Cells[i])
-	}
-	if len(pendCells) != 1 || pendIdx[0] != tornIdx {
+	merged, pendIdx := plan.Restore(j2, nil)
+	if len(pendIdx) != 1 || pendIdx[0] != tornIdx {
 		t.Fatalf("resume re-runs cells %v, want only the torn final record's cell %d", pendIdx, tornIdx)
 	}
-	fresh, err := engine.Run(context.Background(), pendCells, engine.Options{})
-	if err != nil {
+	if err := plan.Run(context.Background(), merged, pendIdx, grid.RunOptions{Journal: j2}); err != nil {
 		t.Fatal(err)
 	}
-	for pi, i := range pendIdx {
-		merged[i] = fresh[pi]
+	if j2.Len() != len(plan.Cells) {
+		t.Errorf("journal holds %d records after the resume, want %d", j2.Len(), len(plan.Cells))
 	}
 	var gotCSV bytes.Buffer
 	if failed, err := plan.WriteCSV(&gotCSV, merged); err != nil || len(failed) != 0 {

@@ -1,12 +1,12 @@
-// Package grid builds (stream × size × line × policy) simulation grids:
-// the cell layout, checkpoint fingerprints, and CSV rendering shared by
-// cmd/dynex-sweep and the dynex-serve job runner.
+// Package grid builds and runs (stream × size × line × policy) grids:
+// the cell layout, checkpoint fingerprints, journaled run (Plan.Restore,
+// Plan.Run) and CSV rendering shared by dynex-sweep and dynex-serve.
 //
 // Both consumers must agree byte-for-byte: a serve job's CSV has to be
 // identical to a direct dynex-sweep run of the same cells, and a job
 // journal has to be a valid sweep checkpoint (and vice versa), so the
-// grid order, the label format, the fingerprint composition, and the CSV
-// row rendering live here exactly once. The fingerprint scheme is the
+// grid order, labels, fingerprints, resume, journal and merge, and CSV
+// rows live here exactly once. The fingerprint scheme is the
 // historical "dynex-sweep/v1" composition, pinned by
 // cmd/dynex-sweep/testdata/seed_journal.jsonl — journals written before
 // this package existed still resume.

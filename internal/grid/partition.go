@@ -18,9 +18,9 @@ import (
 // kernel, but lone fifo2 cells stay per-cell too, so the rule is the
 // same for every family. Cells of
 // column-ineligible policies (policy.Spec.Column decides) and cells
-// the caller's skip function excludes stay cell-by-cell too (nil skips
-// nothing — sweep and serve use it to keep fault-injected cells on the
-// per-cell path, where the injection wrapper actually runs).
+// skip excludes stay cell-by-cell too (nil skips nothing; Plan.Run
+// passes the skip faultinject.Directive.Apply returns, so panic-injected
+// cells stay where the injection wrapper actually runs).
 //
 // pending holds plan indices (positions into p.Cells), in the order the
 // caller will hand the corresponding cells to engine.RunGrouped; the

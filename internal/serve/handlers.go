@@ -12,8 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/checkpoint"
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -212,18 +210,8 @@ func (s *Server) ensureTail(j *job) {
 	j.mu.Unlock()
 
 	t := j.tail
-	gs, err := m.Spec.gridSpec(s.st)
-	if err == nil {
-		if plan, err := gs.Build(); err == nil {
-			if journal, err := checkpoint.Open(s.st.journalPath(m.ID)); err == nil {
-				for i := range plan.Cells {
-					if rec, ok := journal.Lookup(plan.FPs[i]); ok {
-						t.append(cellEvent(i, engine.Result{Label: rec.Label, Stats: rec.Stats, Attempts: rec.Attempts}, true))
-					}
-				}
-				journal.Close()
-			}
-		}
+	if _, results, err := s.restoreJob(m); err == nil {
+		replayRestored(t, results)
 	}
 	// A rebuilt tail replays the final report-delta frame too: the
 	// stream's contract is that its last report-delta is the end-of-job

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/grid"
 	"repro/internal/trace"
 )
@@ -36,10 +37,11 @@ type JobSpec struct {
 	// TimeoutMS, when > 0, is the whole job's deadline: cells not
 	// finished when it expires fail with the deadline error.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Inject is a deterministic fault-injection directive (the sweep's
-	// -inject grammar: "stream-fail=N" or "panic=SUBSTR"). Rejected
-	// unless the server was built with Config.EnableFaults — it exists
-	// for the load suite, not for clients.
+	// Inject is a fault-injection directive with dynex-sweep's -inject
+	// grammar and meaning (faultinject.Directive: "stream-fail=N" per
+	// source, or "panic=SUBSTR"). Rejected unless the server was built
+	// with Config.EnableFaults — it exists for the load suite, not for
+	// clients.
 	Inject string `json:"inject,omitempty"`
 }
 
@@ -78,10 +80,8 @@ func (js JobSpec) validate(cfg Config) error {
 	if js.Inject != "" && !cfg.EnableFaults {
 		return fmt.Errorf("fault injection is disabled on this server")
 	}
-	if js.Inject != "" {
-		if _, _, err := parseInject(js.Inject); err != nil {
-			return err
-		}
+	if _, err := faultinject.ParseDirective(js.Inject); err != nil {
+		return err
 	}
 	if js.Trace == "" {
 		if err := grid.CheckBenches(js.Benches, js.kind()); err != nil {
@@ -158,25 +158,6 @@ func (js JobSpec) gridSpec(store *store) (grid.Spec, error) {
 		Sources: sources, Kind: kind, Refs: js.Refs,
 		Sizes: js.Sizes, Lines: js.Lines, Policies: js.Policies,
 	}, nil
-}
-
-// parseInject parses the sweep-compatible fault directive.
-func parseInject(s string) (streamFails int, panicSubstr string, err error) {
-	switch {
-	case strings.HasPrefix(s, "stream-fail="):
-		if _, err := fmt.Sscanf(s, "stream-fail=%d", &streamFails); err != nil || streamFails <= 0 {
-			return 0, "", fmt.Errorf("bad inject directive %q", s)
-		}
-		return streamFails, "", nil
-	case strings.HasPrefix(s, "panic="):
-		panicSubstr = strings.TrimPrefix(s, "panic=")
-		if panicSubstr == "" {
-			return 0, "", fmt.Errorf("bad inject directive %q", s)
-		}
-		return 0, panicSubstr, nil
-	default:
-		return 0, "", fmt.Errorf("unknown inject directive %q (stream-fail=N or panic=SUBSTR)", s)
-	}
 }
 
 // Job states. A job is durable from the moment POST /v1/jobs returns its

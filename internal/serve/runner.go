@@ -5,14 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
@@ -95,7 +92,11 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	applyInject(&plan, m.Spec.Inject)
+	inj, err := faultinject.ParseDirective(m.Spec.Inject)
+	if err != nil {
+		return 0, err
+	}
+	skip := inj.Apply(&plan)
 
 	journal, err := checkpoint.Open(s.st.journalPath(m.ID))
 	if err != nil {
@@ -106,35 +107,17 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 	col := telemetry.NewCollector(len(plan.Cells))
 	col.SetInstruments(s.obsm.inst)
 	// Resume: cells already journaled (a previous run of this job) are
-	// restored and replayed onto the event stream; only the rest run.
-	// The journal traffic is booked on the collector as dynex-sweep
-	// books it.
-	merged := make([]engine.Result, len(plan.Cells))
-	var pendIdx []int
-	var pendCells []engine.Cell
-	resumed := 0
-	for i := range plan.Cells {
-		if rec, ok := journal.Lookup(plan.FPs[i]); ok {
-			merged[i] = engine.Result{Label: rec.Label, Stats: rec.Stats, Attempts: rec.Attempts}
-			col.CheckpointHit(rec.Label, time.Duration(rec.WallNS))
-			resumed++
-			continue
-		}
-		col.CheckpointMiss()
-		pendIdx = append(pendIdx, i)
-		pendCells = append(pendCells, plan.Cells[i])
-	}
-	col.SetTotal(len(pendCells))
+	// restored and replayed onto the event stream before anything runs;
+	// the shared run step simulates only the rest.
+	merged, pending := plan.Restore(journal, col)
+	col.SetTotal(len(pending))
+	resumed := len(plan.Cells) - len(pending)
 	j.mu.Lock()
 	j.total = len(plan.Cells)
 	j.done = resumed
 	j.resumed = resumed
 	j.mu.Unlock()
-	for i := range plan.Cells {
-		if i < len(merged) && merged[i].Attempts > 0 {
-			j.tail.append(cellEvent(i, merged[i], true))
-		}
-	}
+	replayRestored(j.tail, merged)
 
 	col.Start("dynex-serve job " + m.ID)
 	// Periodic report-delta frames: a point-in-time RunReport snapshot on
@@ -163,22 +146,19 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 			}
 		}
 	}()
-	// Column units (DESIGN.md §15): pending cells partition into
-	// single-pass size columns. Panic-injected cells stay per-cell —
-	// the injection wraps the cell's own simulator, which a column
-	// kernel never constructs.
-	var skip func(int) bool
-	if _, panicSubstr, err := parseInject(m.Spec.Inject); err == nil && panicSubstr != "" {
-		skip = func(pi int) bool { return strings.Contains(plan.Cells[pi].Label, panicSubstr) }
-	}
-	groups := plan.Partition(pendIdx, skip)
-	_, runErr := engine.RunGrouped(ctx, pendCells, groups, engine.Options{
-		Workers:     s.cfg.Workers,
-		Retry:       s.cfg.Retry,
-		CellTimeout: s.cfg.CellTimeout,
-		Collector:   col,
-		OnResult: func(pi int, r engine.Result) {
-			i := pendIdx[pi]
+	// The shared run step: the same partition into size columns
+	// (DESIGN.md §15), journal and merge as dynex-sweep's.
+	runErr := plan.Run(ctx, merged, pending, grid.RunOptions{
+		Engine: engine.Options{
+			Workers:     s.cfg.Workers,
+			Retry:       s.cfg.Retry,
+			CellTimeout: s.cfg.CellTimeout,
+			Collector:   col,
+		},
+		Journal: journal,
+		Book:    col,
+		Skip:    skip,
+		OnCell: func(i int, r engine.Result, appendErr error) {
 			if r.Err != nil {
 				// Interrupted cells are not outcomes: they re-run on
 				// resume. Real failures are reported but never journaled,
@@ -186,25 +166,17 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 				if errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded) {
 					return
 				}
-				merged[i] = r
 				j.mu.Lock()
 				j.done++
 				j.mu.Unlock()
 				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Attempts: r.Attempts, Error: r.Err.Error()})
 				return
 			}
-			saveStart := time.Now()
-			if err := journal.Append(checkpoint.Record{
-				Fingerprint: plan.FPs[i], Label: r.Label, Stats: r.Stats,
-				Attempts: r.Attempts, WallNS: int64(r.Wall),
-			}); err != nil {
+			if appendErr != nil {
 				// The run result is still correct; only durability is
 				// degraded. The cell re-runs after a crash.
-				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Error: "journal: " + err.Error()})
-			} else {
-				col.CheckpointWrite(r.Label, time.Since(saveStart))
+				j.tail.append(Event{Type: "cell_error", Index: i, Label: r.Label, Error: "journal: " + appendErr.Error()})
 			}
-			merged[i] = r
 			s.obsm.cellsDone.Inc()
 			j.mu.Lock()
 			j.done++
@@ -253,6 +225,16 @@ func (s *Server) executeJob(ctx context.Context, j *job) (int, error) {
 	return failed, nil
 }
 
+// replayRestored appends a resumed cell event, in plan order, for every
+// result Restore filled from the journal.
+func replayRestored(t *tail, results []engine.Result) {
+	for i, r := range results {
+		if r.Err == nil {
+			t.append(cellEvent(i, r, true))
+		}
+	}
+}
+
 // cellEvent renders a successful cell result as a stream event; the
 // miss-rate rendering matches the CSV's fixed 6-decimal format exactly.
 func cellEvent(i int, r engine.Result, resumed bool) Event {
@@ -264,40 +246,25 @@ func cellEvent(i int, r engine.Result, resumed bool) Event {
 	}
 }
 
-// applyInject applies the sweep-compatible fault directive to a plan:
-// "stream-fail=N" makes every source's stream fail transiently N times
-// (one shared budget, so the engine's retry clears it), "panic=SUBSTR"
-// makes every cell whose label contains SUBSTR panic on its first
-// access. Directives were validated at admission.
-func applyInject(plan *grid.Plan, inject string) {
-	if inject == "" {
-		return
-	}
-	streamFails, panicSubstr, err := parseInject(inject)
+// restoreJob rebuilds a job's plan and restores its results from the
+// journal (grid.Plan.Restore, nothing booked): a finished job's CSV and
+// replayed result stream come from these alone.
+func (s *Server) restoreJob(m Manifest) (grid.Plan, []engine.Result, error) {
+	gs, err := m.Spec.gridSpec(s.st)
 	if err != nil {
-		return
+		return grid.Plan{}, nil, err
 	}
-	if streamFails > 0 {
-		budget := faultinject.NewBudget(streamFails)
-		for i := range plan.Cells {
-			plan.Cells[i].Stream = faultinject.FlakyStream(plan.Cells[i].Stream, budget)
-		}
+	plan, err := gs.Build()
+	if err != nil {
+		return grid.Plan{}, nil, err
 	}
-	if panicSubstr != "" {
-		for i := range plan.Cells {
-			if !strings.Contains(plan.Cells[i].Label, panicSubstr) || plan.Cells[i].Policy == nil {
-				continue
-			}
-			inner := plan.Cells[i].Policy
-			plan.Cells[i].Policy = func(g cache.Geometry) (cache.Simulator, error) {
-				sim, err := inner(g)
-				if err != nil {
-					return nil, err
-				}
-				return faultinject.NewPanicSim(sim, 1), nil
-			}
-		}
+	journal, err := checkpoint.Open(s.st.journalPath(m.ID))
+	if err != nil {
+		return grid.Plan{}, nil, err
 	}
+	defer journal.Close()
+	results, _ := plan.Restore(journal, nil)
+	return plan, results, nil
 }
 
 // jobCSV renders a job's final CSV from its journal — the same
@@ -305,31 +272,13 @@ func applyInject(plan *grid.Plan, inject string) {
 // identical. Only terminal jobs have a complete journal; missing cells
 // in a done job are exactly its failed cells, whose rows are withheld.
 func (s *Server) jobCSV(j *job) ([]byte, error) {
-	m := j.manifest()
-	gs, err := m.Spec.gridSpec(s.st)
+	plan, results, err := s.restoreJob(j.manifest())
 	if err != nil {
 		return nil, err
 	}
-	plan, err := gs.Build()
-	if err != nil {
-		return nil, err
-	}
-	journal, err := checkpoint.Open(s.st.journalPath(m.ID))
-	if err != nil {
-		return nil, err
-	}
-	defer journal.Close()
-	results := make([]engine.Result, len(plan.Cells))
-	for i := range plan.Cells {
-		if rec, ok := journal.Lookup(plan.FPs[i]); ok {
-			results[i] = engine.Result{Label: rec.Label, Stats: rec.Stats, Attempts: rec.Attempts}
-			continue
-		}
-		results[i] = engine.Result{Label: plan.Cells[i].Label, Err: fmt.Errorf("cell did not complete")}
-	}
-	var buf strings.Builder
+	var buf bytes.Buffer
 	if _, err := plan.WriteCSV(&buf, results); err != nil {
 		return nil, err
 	}
-	return []byte(buf.String()), nil
+	return buf.Bytes(), nil
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/trace"
 )
 
@@ -84,7 +85,11 @@ func directCSV(t *testing.T, cfg Config, st *store, js JobSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyInject(&plan, js.Inject)
+	inj, err := faultinject.ParseDirective(js.Inject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Apply(&plan)
 	results, err := engine.Run(context.Background(), plan.Cells, engine.Options{
 		Workers: cfg.Workers, Retry: cfg.Retry, CellTimeout: cfg.CellTimeout,
 	})
@@ -829,6 +834,105 @@ func TestServeValidation(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/zzz", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", code)
+	}
+
+	// With faults enabled, a directive must still parse as dynex-sweep's
+	// -inject does: N is the whole rest of stream-fail=N.
+	fs, err := New(testConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(fs.Handler())
+	defer fts.Close()
+	for _, bad := range []string{"stream-fail=3abc", "stream-fail=0", "panic=", "stream-fail"} {
+		js := ok
+		js.Inject = bad
+		if _, code := postJob(t, fts.URL, "alice", js); code != http.StatusBadRequest {
+			t.Errorf("inject %q: status %d, want 400", bad, code)
+		}
+	}
+}
+
+// serveOne runs js on a fresh server and returns its terminal status
+// and CSV.
+func serveOne(t *testing.T, cfg Config, js JobSpec) (Status, string) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = s.Run(ctx) }()
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); cancel(); <-done }()
+
+	id, code := postJob(t, ts.URL, "alice", js)
+	if code != http.StatusAccepted {
+		t.Fatalf("status %d", code)
+	}
+	waitAllTerminal(t, ts.URL, 60*time.Second)
+	var stt Status
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &stt)
+	if stt.State != StateDone {
+		t.Fatalf("job state %s, err %q", stt.State, stt.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	csv, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stt, string(csv)
+}
+
+// TestServeInjectPanicDirect pins panic=SUBSTR on Direct cells: a served
+// job with panic=/opt withholds its opt rows, as dynex-sweep -inject
+// panic=/opt does, and its CSV equals the direct run's.
+func TestServeInjectPanicDirect(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	js := JobSpec{Benches: []string{"gcc"}, Kind: "instr", Refs: 2000,
+		Sizes: []uint64{1024, 4096}, Lines: []uint64{4}, Policies: []string{"dm", "opt"},
+		Inject: "panic=/opt"}
+	stt, got := serveOne(t, cfg, js)
+	if stt.FailedCells != 2 {
+		t.Errorf("FailedCells = %d, want the 2 opt cells", stt.FailedCells)
+	}
+	rows := strings.Split(strings.TrimSpace(got), "\n")
+	if len(rows) != 3 { // header + two dm rows
+		t.Fatalf("CSV has %d rows, want 3:\n%s", len(rows), got)
+	}
+	for _, row := range rows[1:] {
+		if !strings.Contains(row, ",dm,") {
+			t.Errorf("unexpected surviving row %q", row)
+		}
+	}
+	if want := directCSV(t, cfg, nil, js); got != string(want) {
+		t.Errorf("served CSV differs from the direct run:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
+
+// TestServeInjectStreamFailPerSource pins stream-fail=N's budget: each
+// source fails its own N times, so a two-bench job with stream-fail=1
+// and no retry fails one unit per source, not one in total. Every cell
+// is its own unit here (one size), so that is one cell per source.
+func TestServeInjectStreamFailPerSource(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	cfg.Retry = engine.Retry{}
+	js := JobSpec{Benches: []string{"gcc", "li"}, Kind: "instr", Refs: 2000,
+		Sizes: []uint64{4096}, Lines: []uint64{4}, Policies: []string{"dm", "de"},
+		Inject: "stream-fail=1"}
+	stt, got := serveOne(t, cfg, js)
+	if stt.FailedCells != 2 {
+		t.Errorf("FailedCells = %d, want 2 (one per source)", stt.FailedCells)
+	}
+	for _, bench := range js.Benches {
+		if n := strings.Count(got, "\n"+bench+","); n != 1 {
+			t.Errorf("%s: %d CSV rows, want 1 (one of its two cells failed):\n%s", bench, n, got)
+		}
 	}
 }
 
