@@ -62,12 +62,15 @@ bench-report:
 experiments:
 	go run ./cmd/dynex-experiments -refs 1000000 | tee experiments_1m.txt
 
+# Every fuzz target in the module, 30s each; CI fails if a Fuzz func is
+# missing from this list.
 fuzz:
 	go test -fuzz FuzzFSMInvariants -fuzztime 30s ./internal/core/
 	go test -fuzz FuzzFileReader -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzSimulateDM -fuzztime 30s ./internal/opt/
 	go test -fuzz FuzzJournalOpen -fuzztime 30s ./internal/checkpoint/
+	go test -fuzz FuzzParseSpec -fuzztime 30s ./internal/policy/
 
 # End-to-end crash-safety smoke for dynex-serve (DESIGN.md §12): start
 # the service (race-enabled build), submit a job, SIGTERM it mid-run,

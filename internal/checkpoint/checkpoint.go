@@ -160,8 +160,13 @@ func (j *Journal) Append(rec Record) error {
 	if err := j.w.WriteByte('\n'); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
+	// Book the record only once it is on disk, so Lookup and Len never
+	// report one the file lacks.
+	if err := j.syncLocked(); err != nil {
+		return err
+	}
 	j.recs[rec.Fingerprint] = rec
-	return j.syncLocked()
+	return nil
 }
 
 func (j *Journal) syncLocked() error {

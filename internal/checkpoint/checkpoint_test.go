@@ -203,6 +203,28 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
+// TestAppendFailureNotRecorded checks a record whose append fails is
+// neither looked up nor counted: here the file is closed, so the flush
+// fails and nothing reaches the disk.
+func TestAppendFailureNotRecorded(t *testing.T) {
+	j, err := Open(tmpJournal(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Fingerprint: "aa"}); err == nil {
+		t.Fatal("Append to a closed journal succeeded")
+	}
+	if rec, ok := j.Lookup("aa"); ok {
+		t.Errorf("Lookup found the failed append: %+v", rec)
+	}
+	if n := j.Len(); n != 0 {
+		t.Errorf("Len = %d after a failed append, want 0", n)
+	}
+}
+
 // TestFingerprint checks determinism, sensitivity, and the length-prefix
 // defense against concatenation collisions.
 func TestFingerprint(t *testing.T) {

@@ -130,10 +130,11 @@ var premiseCases = []struct {
 	{16, 1 << 13, 4},
 }
 
-// TestStackProperty asserts the Mattson inclusion property the LRU
-// column kernel rests on: on randomized conflict-heavy streams, every
-// hit at size S is a hit at size 2S (fixed line and ways), checked
-// reference by reference with independent per-cell simulators.
+// TestStackProperty asserts Mattson inclusion for per-cell LRU: on
+// randomized conflict-heavy streams, every hit at size S is a hit at
+// size 2S (fixed line and ways), checked reference by reference with
+// independent per-cell simulators. No column kernel rests on it; it
+// pins the per-cell LRU simulator against a property it must have.
 func TestStackProperty(t *testing.T) {
 	for _, c := range premiseCases {
 		c := c
@@ -143,17 +144,21 @@ func TestStackProperty(t *testing.T) {
 	}
 }
 
-// TestMRAProperty asserts the residency property the FIFO column
-// kernel's early-out rests on: on randomized streams, every reference
-// whose block is its set's most recently accessed block at size S hits
-// at S and at 2S and is the most recently accessed block of its set at
-// 2S (fixed line and ways), checked reference by reference with
-// independent per-cell simulators.
+// TestMRAProperty asserts the residency property the LRU and FIFO
+// column kernels' early-out rests on: on randomized streams, every
+// reference whose block is its set's most recently accessed block at
+// size S hits at S and at 2S and is the most recently accessed block of
+// its set at 2S (fixed line and ways), checked reference by reference
+// with independent per-cell simulators of each family.
 func TestMRAProperty(t *testing.T) {
 	for _, c := range premiseCases {
 		c := c
 		t.Run(fmt.Sprintf("line=%d/size=%d/ways=%d", c.line, c.size, c.ways), func(t *testing.T) {
-			CheckMRAProperty(t, c.line, c.size, c.ways, Options{Streams: 3})
+			for _, family := range []string{"fifo", "lru"} {
+				t.Run(family, func(t *testing.T) {
+					CheckMRAProperty(t, family, c.line, c.size, c.ways, Options{Streams: 3})
+				})
+			}
 		})
 	}
 }

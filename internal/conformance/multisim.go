@@ -149,10 +149,9 @@ func columnStream(seed int64, n int, sizes []uint64) []trace.Ref {
 
 // CheckStackProperty asserts LRU inclusion across power-of-two sizes on
 // randomized streams, reference by reference: at a fixed line size and
-// way count, every hit at size S is a hit at size 2S. This is the
-// property the LRU column kernel's shared stack walk is built on (a
-// finer set mask only removes entries from the distance count), so the
-// battery checks the foundation independently of the kernel itself —
+// way count, every hit at size S is a hit at size 2S. No column kernel
+// rests on it (the LRU column takes the MRA walk, see CheckMRAProperty);
+// it stays as an independent oracle for the per-cell LRU simulator,
 // with plain per-cell simulators on both sides.
 func CheckStackProperty(t *testing.T, line uint64, size uint64, ways int, opts Options) {
 	t.Helper()
@@ -194,17 +193,17 @@ func CheckStackProperty(t *testing.T, line uint64, size uint64, ways int, opts O
 	}
 }
 
-// CheckMRAProperty is the FIFO analogue of CheckStackProperty: it
-// asserts the residency fact the FIFO column kernel's early-out rests
-// on, reference by reference, on randomized streams. At a fixed line
-// size and way count, a reference whose block is the most recently
-// accessed (MRA) block of its set at size S hits at S, hits at 2S, and
-// is the MRA block of its set at 2S too. FIFO has no inclusion (a
-// non-MRA hit at S can miss at 2S), so this is the property that nests.
-// The check tracks each set's last block itself and drives plain
-// per-cell simulators at both sizes, sharing nothing with the column
-// kernel.
-func CheckMRAProperty(t *testing.T, line uint64, size uint64, ways int, opts Options) {
+// CheckMRAProperty asserts the residency fact the LRU and FIFO column
+// kernels' early-out rests on, for the given set-associative family
+// ("lru" or "fifo"), reference by reference, on randomized streams. At
+// a fixed line size and way count, a reference whose block is the most
+// recently accessed (MRA) block of its set at size S hits at S, hits at
+// 2S, and is the MRA block of its set at 2S too. FIFO has no inclusion
+// (a non-MRA hit at S can miss at 2S) and LRU's is more than the walk
+// needs: MRA residency nests for both, and it is all the walk uses. The
+// check tracks each set's last block itself and drives plain per-cell
+// simulators at both sizes, sharing nothing with the column kernels.
+func CheckMRAProperty(t *testing.T, family string, line uint64, size uint64, ways int, opts Options) {
 	t.Helper()
 	if opts.Streams == 0 {
 		opts.Streams = 4
@@ -212,7 +211,7 @@ func CheckMRAProperty(t *testing.T, line uint64, size uint64, ways int, opts Opt
 	if opts.Refs == 0 {
 		opts.Refs = 6000
 	}
-	spec := "fifo:ways=" + strconv.Itoa(ways)
+	spec := family + ":ways=" + strconv.Itoa(ways)
 	sp, err := policy.Parse(spec)
 	if err != nil {
 		t.Fatalf("parse %q: %v", spec, err)

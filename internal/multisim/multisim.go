@@ -18,13 +18,6 @@
 //     early-out skips all work above that member: the reference is
 //     counted once, by its first hitting member, and Outcomes recovers
 //     every member's hits by prefix sum.
-//   - LRU runs Mattson-style stack-distance processing (Hill & Smith's
-//     forest simulation collapsed onto move-to-front stacks): one
-//     recency stack per smallest-member set yields the stack distance
-//     at EVERY member set count from a single walk, because a finer
-//     set mask only filters which stack entries count toward the
-//     distance. Hits are counted by first hitting member as in DM, and
-//     only the members below it, which miss, update their fill state.
 //   - FIFO has no inclusion property (insertion-order victims break
 //     it: a non-MRA hit at S can miss at 2S), but MRA residency nests,
 //     as DEW observes: a set's most recently accessed (MRA) block is
@@ -32,10 +25,17 @@
 //     at S is MRA at every larger size. The walk stops at the first
 //     member whose MRA is the block and counts the reference there, as
 //     in DM; only the members below it look up their ways.
+//   - LRU takes FIFO's MRA walk: a set's MRA block is its most recently
+//     used way, and an LRU hit on it changes no state. Each member
+//     keeps its sets' valid ways in recency order, so the members below
+//     the walk's stop rotate a hit to the front or insert a miss there,
+//     dropping the last way of a full set.
 //
-// DE has no inclusion property either (a sticky bypass keeps a block
-// out of a small cache while a larger one admits it), so it is the one
-// lockstep column: full per-member state, one shared decode.
+// DE has no inclusion property (a sticky bypass keeps a block out of a
+// small cache while a larger one admits it) and no MRA shortcut (a
+// bypassed miss leaves its set's most recently accessed block out of
+// the cache), so it is the only lockstep column: full per-member state,
+// one shared decode.
 //
 // Kernels implement engine.Column. Batch methods are annotated
 // //dynexcheck:hot — all state is preallocated at construction, and the
@@ -43,10 +43,10 @@
 // Correctness against the per-cell path is pinned twice: the
 // conformance column battery (internal/conformance), and the sweep
 // tests comparing a full-registry sweep's CSV and journal against a
-// per-cell run of the same plan (cmd/dynex-sweep). The premises of the
-// LRU and FIFO early-outs, inclusion and MRA residency, are checked on
-// their own against plain per-cell simulators
-// (conformance.CheckStackProperty and CheckMRAProperty).
+// per-cell run of the same plan (cmd/dynex-sweep). The premise of the
+// LRU and FIFO early-outs, MRA residency, is checked on its own against
+// plain per-cell simulators of both families
+// (conformance.CheckMRAProperty).
 package multisim
 
 import (
