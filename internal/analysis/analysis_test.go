@@ -209,10 +209,11 @@ func TestAtomicMixFixture(t *testing.T) {
 
 // TestHotPathAllocFixture pins hotpath-alloc: make, slice/map literals,
 // &composite, non-reuse append, interface boxing, string<->[]byte
-// conversions, and capturing closures are findings inside a
-// //dynexcheck:hot function; value struct literals, reuse appends,
-// pointer arguments, unannotated functions, and the allow directive
-// pass.
+// conversions, capturing closures, and integer / and % (and /=, %=)
+// by a non-constant divisor are findings inside a //dynexcheck:hot
+// function; value struct literals, reuse appends, pointer arguments,
+// constant and floating-point divisors, shift and mask, unannotated
+// functions, and the allow directive pass.
 func TestHotPathAllocFixture(t *testing.T) {
 	wantDiags(t, checkFixture(t, "hotalloc"), []string{
 		`p/p.go:24: [hotpath-alloc] make in Hot, which is marked //dynexcheck:hot: hot paths must be allocation-free`,
@@ -224,6 +225,10 @@ func TestHotPathAllocFixture(t *testing.T) {
 		`p/p.go:30: [hotpath-alloc] string -> []byte conversion (copies) in Hot, which is marked //dynexcheck:hot: hot paths must be allocation-free`,
 		`p/p.go:31: [hotpath-alloc] []byte -> string conversion (copies) in Hot, which is marked //dynexcheck:hot: hot paths must be allocation-free`,
 		`p/p.go:32: [hotpath-alloc] closure capturing k (closure and capture move to the heap) in Hot, which is marked //dynexcheck:hot: hot paths must be allocation-free`,
+		`p/p.go:84: [hotpath-alloc] integer / with a non-constant divisor in DivHot, which is marked //dynexcheck:hot: hot paths index by shift and mask`,
+		`p/p.go:85: [hotpath-alloc] integer % with a non-constant divisor in DivHot, which is marked //dynexcheck:hot: hot paths index by shift and mask`,
+		`p/p.go:90: [hotpath-alloc] integer /= with a non-constant divisor in DivHot, which is marked //dynexcheck:hot: hot paths index by shift and mask`,
+		`p/p.go:91: [hotpath-alloc] integer %= with a non-constant divisor in DivHot, which is marked //dynexcheck:hot: hot paths index by shift and mask`,
 	})
 }
 

@@ -25,9 +25,15 @@ import (
 //
 // Plain struct value literals (d := Stats{...}) are stack values and are
 // deliberately not flagged: the kernels use them for snapshot/restore.
+//
+// The same functions must not divide: an integer / or % (or /=, %=)
+// whose divisor is not a constant is a 64-bit hardware division, tens
+// of cycles per reference. Cache geometries are powers of two, so a
+// kernel indexes by the shift and mask cache.IndexShifts derives once;
+// a constant divisor compiles to shifts or a multiply and passes.
 var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath-alloc",
-	Doc:  "functions marked //dynexcheck:hot contain no allocating constructs",
+	Doc:  "functions marked //dynexcheck:hot contain no allocating constructs and no integer division by a non-constant divisor",
 	Run:  runHotPath,
 }
 
@@ -67,8 +73,20 @@ func checkHotBody(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 		pass.Reportf(pos, "%s in %s, which is marked %s: hot paths must be allocation-free",
 			what, fd.Name.Name, hotDirective)
 	}
+	reportDiv := func(pos token.Pos, op token.Token) {
+		pass.Reportf(pos, "integer %s with a non-constant divisor in %s, which is marked %s: hot paths index by shift and mask",
+			op, fd.Name.Name, hotDirective)
+	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.BinaryExpr:
+			if (x.Op == token.QUO || x.Op == token.REM) && variableIntDivisor(info, x, x.Y) {
+				reportDiv(x.OpPos, x.Op)
+			}
+		case *ast.AssignStmt:
+			if (x.Tok == token.QUO_ASSIGN || x.Tok == token.REM_ASSIGN) && variableIntDivisor(info, x.Lhs[0], x.Rhs[0]) {
+				reportDiv(x.TokPos, x.Tok)
+			}
 		case *ast.CallExpr:
 			checkHotCall(info, x, reuse, report)
 		case *ast.UnaryExpr:
@@ -93,6 +111,22 @@ func checkHotBody(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// variableIntDivisor reports whether a division yielding result (the
+// binary expression, or the assigned operand of /= and %=) is an
+// integer division whose divisor is not a compile-time constant.
+func variableIntDivisor(info *types.Info, result, divisor ast.Expr) bool {
+	tv, ok := info.Types[result]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	b, ok := types.Unalias(tv.Type).Underlying().(*types.Basic)
+	if !ok || b.Info()&types.IsInteger == 0 {
+		return false
+	}
+	dv, ok := info.Types[divisor]
+	return ok && dv.Value == nil
 }
 
 // appendReuses returns the append calls whose result is assigned back to

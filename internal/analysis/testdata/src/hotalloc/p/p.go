@@ -72,3 +72,27 @@ func (k *K) Cold() []uint64 {
 	sink(k.stats)
 	return append([]uint64{9}, m...)
 }
+
+// DivHot divides by variables, which is flagged, and by constants, in
+// floating point, and by shift and mask, which are clean.
+//
+//dynexcheck:hot
+func (k *K) DivHot(refs []uint64, line uint64, scale float64) uint64 {
+	n := uint64(len(k.buf))
+	var sum uint64
+	for _, a := range refs {
+		sum += a / line
+		sum += a % n
+		sum += a / 16                     // constant divisor: clean
+		sum += a >> 4 & 7                 // shift and mask: clean
+		sum += uint64(float64(a) / scale) // floating point: clean
+	}
+	sum /= n
+	sum %= line
+	//dynexcheck:allow hotpath-alloc fixture-audited once-per-batch average
+	sum /= uint64(len(refs))
+	return sum
+}
+
+// ColdDiv divides without the annotation: clean.
+func (k *K) ColdDiv(a, b uint64) uint64 { return a/b + a%b }

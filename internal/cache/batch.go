@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/trace"
@@ -31,27 +32,29 @@ type BatchSimulator interface {
 	BatchAccess(refs []trace.Ref) BatchStats
 }
 
-// scalarBatch drives sim one Access at a time and reports the delta via
-// a Stats snapshot — the semantic reference every kernel must match, and
-// the fallback for geometries the flat kernels do not handle.
-func scalarBatch(sim Simulator, refs []trace.Ref) BatchStats {
-	before := sim.Stats()
-	for i := range refs {
-		sim.Access(refs[i].Addr)
-	}
-	return BatchStats{Stats: sim.Stats().Sub(before)}
-}
-
 // kernelShifts resolves the hoisted address math of a flat kernel: the
 // line-offset shift and the set-index mask. ok is false when either the
-// line size or the set count is not a power of two — impossible for a
-// Validate()d geometry, but kernels fall back to the scalar path rather
-// than silently mis-indexing.
+// line size or the set count is not a power of two, which Validate rules
+// out.
 func kernelShifts(lineSize, nsets uint64) (lineShift int, setMask uint64, ok bool) {
 	if lineSize == 0 || lineSize&(lineSize-1) != 0 || nsets == 0 || nsets&(nsets-1) != 0 {
 		return 0, 0, false
 	}
 	return bits.TrailingZeros64(lineSize), nsets - 1, true
+}
+
+// IndexShifts returns the constants a per-reference path indexes by, so
+// that g.Block(addr) is addr>>lineShift and g.Set(addr) is
+// addr>>lineShift&setMask. Simulators take them once at construction;
+// no path divides per reference. g must have passed Validate, which
+// makes its line size and set count powers of two; IndexShifts panics
+// otherwise.
+func IndexShifts(g Geometry) (lineShift uint, setMask uint64) {
+	shift, mask, ok := kernelShifts(g.LineSize, g.Sets())
+	if !ok {
+		panic(fmt.Sprintf("cache: IndexShifts of unvalidated geometry %+v", g))
+	}
+	return uint(shift), mask
 }
 
 // BatchAccess is the direct-mapped flat kernel: geometry constants are
@@ -61,11 +64,11 @@ func kernelShifts(lineSize, nsets uint64) (lineShift int, setMask uint64, ok boo
 //
 //dynexcheck:hot
 func (c *DirectMapped) BatchAccess(refs []trace.Ref) BatchStats {
-	tags, valid := c.tags, c.valid
-	lineShift, setMask, ok := kernelShifts(c.geom.LineSize, uint64(len(tags)))
-	if !ok {
-		return scalarBatch(c, refs)
-	}
+	lineShift, setMask := c.lineShift&63, c.setMask
+	// Equal lengths let one bounds check per reference cover every
+	// state array, and the masked shift needs no overflow test.
+	nsets := setMask + 1
+	tags, valid := c.tags[:nsets:nsets], c.valid[:nsets:nsets]
 	onEvict := c.OnEvict
 	var hits, fills, evictions uint64
 	for i := range refs {
@@ -97,51 +100,73 @@ func (c *DirectMapped) BatchAccess(refs []trace.Ref) BatchStats {
 	return BatchStats{Stats: d}
 }
 
-// BatchAccess is the set-associative flat kernel (LRU, FIFO, random).
-// The replacement clock advances in a register and is synced back before
-// every fill, so victim selection — including the RandomRepl RNG draw
-// sequence — and the OnEvict hook fire exactly as under scalar Access.
+// BatchAccess is the set-associative flat kernel (LRU, FIFO, random). It
+// tests way 0 first, which is an LRU set's most recently used, moves an
+// LRU hit to the front, and runs LRU and FIFO fills and evictions
+// inline. Random victims and OnEvict-hooked caches take the shared fill
+// through Access instead, so RNG draws and hook calls come in exactly
+// the order scalar Access makes them.
 //
 //dynexcheck:hot
 func (c *SetAssoc) BatchAccess(refs []trace.Ref) BatchStats {
-	sets := c.sets
-	lineShift, setMask, ok := kernelShifts(c.geom.LineSize, uint64(len(sets)))
-	if !ok {
-		return scalarBatch(c, refs)
-	}
-	lru := c.policy == LRU
-	clock := c.clock
-	var hits, fills, evictions uint64
-	for i := range refs {
-		clock++
-		block := refs[i].Addr >> lineShift
-		set := sets[block&setMask]
-		hit := false
-		for j := range set {
-			if set[j].valid && set[j].tag == block {
-				if lru {
-					set[j].stamp = clock
-				}
-				hit = true
-				break
-			}
+	if c.policy == RandomRepl || c.OnEvict != nil {
+		before := c.stats
+		for i := range refs {
+			c.Access(refs[i].Addr)
 		}
-		if hit {
-			hits++
+		return BatchStats{Stats: c.stats.Sub(before)}
+	}
+	tags, wave := c.tags, c.wave
+	lineShift, setMask, ways := c.lineShift&63, c.setMask, c.ways
+	lru := c.policy == LRU
+	var fills, evictions uint64
+	for i := range refs {
+		block := refs[i].Addr >> lineShift
+		set := block & setMask
+		base := set * ways
+		st := tags[base : base+ways : base+ways]
+		w := uint64(wave[set])
+		if w != 0 && st[0] == block {
 			continue
 		}
-		// Misses displace through the same fill (and OnEvict hook) as the
-		// scalar path; fill stamps with c.clock, so sync it first.
-		c.clock = clock
-		if c.fill(set, block) {
-			evictions++
+		valid := min(w, ways)
+		j := uint64(1)
+		for j < valid && st[j] != block {
+			j++
+		}
+		if j < valid {
+			if lru {
+				toFront(st, j, block)
+			}
+			continue
 		}
 		fills++
+		switch {
+		case lru:
+			if w < ways {
+				j = w
+				wave[set] = uint32(w + 1)
+			} else {
+				j = ways - 1
+				evictions++
+			}
+			toFront(st, j, block)
+		case w < ways:
+			st[w] = block
+			wave[set] = uint32(w + 1)
+		default:
+			st[w-ways] = block
+			evictions++
+			if w++; w == 2*ways {
+				w = ways
+			}
+			wave[set] = uint32(w)
+		}
 	}
-	c.clock = clock
+	n := uint64(len(refs))
 	d := Stats{
-		Accesses:  uint64(len(refs)),
-		Hits:      hits,
+		Accesses:  n,
+		Hits:      n - fills,
 		Misses:    fills,
 		Fills:     fills,
 		Evictions: evictions,

@@ -85,8 +85,8 @@ func TestBatchAccessEmptyBatch(t *testing.T) {
 // TestSetAssocBatchEvictionSequence is the eviction-notification pin:
 // for every replacement policy — RandomRepl included, with the same
 // seed — the batched kernel must displace the exact same sequence of
-// blocks through OnEvict as scalar Access, because victim selection
-// shares c.fill between the two paths.
+// blocks through OnEvict as scalar Access, because a hooked cache's
+// misses take c.fill on both paths.
 func TestSetAssocBatchEvictionSequence(t *testing.T) {
 	geom := Geometry{Size: 1 << 9, LineSize: 8, Ways: 4}
 	refs := batchRefs(2, 6000)
@@ -124,16 +124,16 @@ func TestSetAssocBatchEvictionSequence(t *testing.T) {
 					}
 				}
 			}
-			if !reflect.DeepEqual(scalar.sets, batched.sets) {
-				t.Error("final set contents (tags/stamps) diverged")
+			if !reflect.DeepEqual(scalar.tags, batched.tags) || !reflect.DeepEqual(scalar.wave, batched.wave) {
+				t.Error("final set contents (tags/waves) diverged")
 			}
 		})
 	}
 }
 
 // TestSetAssocBatchInterleavesWithScalar pins that scalar and batched
-// driving compose mid-stream: the kernel must leave the clock and stamps
-// exactly where scalar Access would.
+// driving compose mid-stream: the kernel must leave every set's way
+// order and wave exactly where scalar Access would.
 func TestSetAssocBatchInterleavesWithScalar(t *testing.T) {
 	geom := Geometry{Size: 1 << 9, LineSize: 8, Ways: 4}
 	refs := batchRefs(3, 3000)
@@ -156,10 +156,10 @@ func TestSetAssocBatchInterleavesWithScalar(t *testing.T) {
 	if scalar.Stats() != mixed.Stats() {
 		t.Errorf("stats: scalar %+v != mixed %+v", scalar.Stats(), mixed.Stats())
 	}
-	if scalar.clock != mixed.clock {
-		t.Errorf("clock: scalar %d != mixed %d", scalar.clock, mixed.clock)
+	if !reflect.DeepEqual(scalar.wave, mixed.wave) {
+		t.Error("set waves diverged after interleaved driving")
 	}
-	if !reflect.DeepEqual(scalar.sets, mixed.sets) {
+	if !reflect.DeepEqual(scalar.tags, mixed.tags) {
 		t.Error("set contents diverged after interleaved driving")
 	}
 }

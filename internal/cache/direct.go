@@ -6,10 +6,12 @@ import "fmt"
 // exactly one line it can live in, and the most recent reference always
 // replaces the previous occupant. This is the paper's baseline.
 type DirectMapped struct {
-	geom  Geometry
-	tags  []uint64
-	valid []bool
-	stats Stats
+	geom      Geometry
+	lineShift uint
+	setMask   uint64
+	tags      []uint64
+	valid     []bool
+	stats     Stats
 
 	// OnEvict, if non-nil, is called with the block number of each valid
 	// block displaced by a fill. Hierarchies use it to spill evictions to
@@ -24,11 +26,14 @@ func NewDirectMapped(geom Geometry) (*DirectMapped, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
+	lineShift, setMask := IndexShifts(geom)
 	n := geom.Sets()
 	return &DirectMapped{
-		geom:  geom,
-		tags:  make([]uint64, n),
-		valid: make([]bool, n),
+		geom:      geom,
+		lineShift: lineShift,
+		setMask:   setMask,
+		tags:      make([]uint64, n),
+		valid:     make([]bool, n),
 	}, nil
 }
 
@@ -43,9 +48,11 @@ func MustDirectMapped(geom Geometry) *DirectMapped {
 }
 
 // Access references addr, filling on a miss.
+//
+//dynexcheck:hot
 func (c *DirectMapped) Access(addr uint64) Result {
-	set := c.geom.Set(addr)
-	tag := c.geom.Tag(addr)
+	tag := addr >> c.lineShift
+	set := tag & c.setMask
 	if c.valid[set] && c.tags[set] == tag {
 		c.stats.Record(Hit, false)
 		return Hit
@@ -63,16 +70,17 @@ func (c *DirectMapped) Access(addr uint64) Result {
 // Contains reports whether addr's block is resident (no stats side
 // effects).
 func (c *DirectMapped) Contains(addr uint64) bool {
-	set := c.geom.Set(addr)
-	return c.valid[set] && c.tags[set] == c.geom.Tag(addr)
+	tag := addr >> c.lineShift
+	set := tag & c.setMask
+	return c.valid[set] && c.tags[set] == tag
 }
 
 // Fill inserts addr's block without counting an access (used by
 // hierarchies to model spills from an upper level). It reports whether a
 // valid block was displaced.
 func (c *DirectMapped) Fill(addr uint64) bool {
-	set := c.geom.Set(addr)
-	tag := c.geom.Tag(addr)
+	tag := addr >> c.lineShift
+	set := tag & c.setMask
 	if c.valid[set] && c.tags[set] == tag {
 		return false
 	}

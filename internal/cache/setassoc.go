@@ -31,22 +31,32 @@ func (p Policy) String() string {
 	}
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	stamp uint64 // LRU: last use; FIFO: fill time
-}
-
 // SetAssoc is an n-way set-associative cache with a selectable replacement
 // policy. The paper's motivation compares direct-mapped caches against
 // these: lower miss rate, higher access time.
+//
+// Victim choice needs no clock. With no invalidation a set's valid ways
+// only grow, so a count per set says which are valid, and way order
+// carries the rest: LRU keeps a set's ways most recently used first, so
+// the last is its victim, while FIFO and random keep them in fill
+// position, where FIFO's oldest fill is the next way round. This is the
+// per-set layout of the multisim LRU and FIFO columns.
 type SetAssoc struct {
-	geom   Geometry
-	policy Policy
-	sets   [][]way
-	clock  uint64
-	rng    *rand.Rand
-	stats  Stats
+	geom      Geometry
+	policy    Policy
+	lineShift uint
+	setMask   uint64
+	ways      uint64
+	// tags is flat and set-major: set s holds ways [s*ways, (s+1)*ways).
+	tags []uint64
+	// wave[s] counts set s's valid ways while it fills, so ways
+	// [0, wave) are valid and the next fill takes way wave. Once the set
+	// is full, LRU and random hold it at ways, and FIFO cycles it
+	// through [ways, 2*ways): its next fill evicts way wave-ways. (2*ways
+	// fits: a set of 2^31 ways would need 16 GiB of tags.)
+	wave  []uint32
+	rng   *rand.Rand
+	stats Stats
 
 	// OnEvict, if non-nil, receives the block number of each displaced
 	// valid block.
@@ -62,18 +72,18 @@ func NewSetAssoc(geom Geometry, policy Policy, seed int64) (*SetAssoc, error) {
 	if policy > RandomRepl {
 		return nil, fmt.Errorf("cache: unknown policy %d", policy)
 	}
+	lineShift, setMask := IndexShifts(geom)
 	nsets := geom.Sets()
-	sets := make([][]way, nsets)
-	ways := geom.WaysPerSet()
-	backing := make([]way, int(nsets)*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways:ways], backing[ways:]
-	}
+	ways := uint64(geom.WaysPerSet())
 	return &SetAssoc{
-		geom:   geom,
-		policy: policy,
-		sets:   sets,
-		rng:    rand.New(rand.NewSource(seed)),
+		geom:      geom,
+		policy:    policy,
+		lineShift: lineShift,
+		setMask:   setMask,
+		ways:      ways,
+		tags:      make([]uint64, nsets*ways),
+		wave:      make([]uint32, nsets),
+		rng:       rand.New(rand.NewSource(seed)),
 	}, nil
 }
 
@@ -86,81 +96,104 @@ func MustSetAssoc(geom Geometry, policy Policy, seed int64) *SetAssoc {
 	return c
 }
 
-// Access references addr, filling on a miss.
-func (c *SetAssoc) Access(addr uint64) Result {
-	c.clock++
-	set := c.sets[c.geom.Set(addr)]
-	tag := c.geom.Tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			if c.policy == LRU {
-				set[i].stamp = c.clock
-			}
-			c.stats.Record(Hit, false)
-			return Hit
+// find returns the way of set that holds block, if one does.
+func (c *SetAssoc) find(set, block uint64) (way uint64, ok bool) {
+	base := set * c.ways
+	valid := min(uint64(c.wave[set]), c.ways)
+	for j, tag := range c.tags[base : base+valid] {
+		if tag == block {
+			return uint64(j), true
 		}
 	}
-	evicted := c.fill(set, tag)
+	return 0, false
+}
+
+// toFront moves ways [0, j) of an LRU set down one and puts block in way
+// 0, its most recently used.
+func toFront(ways []uint64, j, block uint64) {
+	for ; j > 0; j-- {
+		ways[j] = ways[j-1]
+	}
+	ways[0] = block
+}
+
+// Access references addr, filling on a miss.
+//
+//dynexcheck:hot
+func (c *SetAssoc) Access(addr uint64) Result {
+	block := addr >> c.lineShift
+	set := block & c.setMask
+	if j, ok := c.find(set, block); ok {
+		if c.policy == LRU {
+			toFront(c.tags[set*c.ways:], j, block)
+		}
+		c.stats.Record(Hit, false)
+		return Hit
+	}
+	evicted := c.fill(set, block)
 	c.stats.Record(MissFill, evicted)
 	return MissFill
 }
 
-// fill places tag in the set, returning whether a valid way was displaced.
-func (c *SetAssoc) fill(set []way, tag uint64) bool {
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
+// fill places block, which set does not hold, reporting whether a valid
+// way was displaced. The OnEvict hook sees the displaced block before
+// its way is overwritten.
+func (c *SetAssoc) fill(set, block uint64) bool {
+	ways := c.ways
+	base := set * ways
+	st := c.tags[base : base+ways : base+ways]
+	wave := uint64(c.wave[set])
+	if wave < ways {
+		if c.policy == LRU {
+			toFront(st, wave, block)
+		} else {
+			st[wave] = block
 		}
+		c.wave[set] = uint32(wave + 1)
+		return false
 	}
-	evicted := false
-	if victim < 0 {
-		switch c.policy {
-		case LRU, FIFO:
-			victim = 0
-			for i := 1; i < len(set); i++ {
-				if set[i].stamp < set[victim].stamp {
-					victim = i
-				}
-			}
-		case RandomRepl:
-			victim = c.rng.Intn(len(set))
+	var victim uint64
+	switch c.policy {
+	case LRU:
+		victim = ways - 1
+	case FIFO:
+		victim = wave - ways
+		if wave++; wave == 2*ways {
+			wave = ways
 		}
-		evicted = true
-		if c.OnEvict != nil {
-			c.OnEvict(set[victim].tag)
-		}
+		c.wave[set] = uint32(wave)
+	case RandomRepl:
+		victim = uint64(c.rng.Intn(int(ways)))
 	}
-	set[victim] = way{tag: tag, valid: true, stamp: c.clock}
-	return evicted
+	if c.OnEvict != nil {
+		c.OnEvict(st[victim])
+	}
+	if c.policy == LRU {
+		toFront(st, victim, block)
+	} else {
+		st[victim] = block
+	}
+	return true
 }
 
 // Contains reports whether addr's block is resident (no stats or LRU side
 // effects).
 func (c *SetAssoc) Contains(addr uint64) bool {
-	set := c.sets[c.geom.Set(addr)]
-	tag := c.geom.Tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	block := addr >> c.lineShift
+	_, ok := c.find(block&c.setMask, block)
+	return ok
 }
 
 // Fill inserts addr's block without counting an access, reporting whether
-// a valid block was displaced.
+// a valid block was displaced. A resident block is left where it is (an
+// LRU Fill does not count as a use).
 func (c *SetAssoc) Fill(addr uint64) bool {
-	c.clock++
-	set := c.sets[c.geom.Set(addr)]
-	tag := c.geom.Tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return false
-		}
+	block := addr >> c.lineShift
+	set := block & c.setMask
+	if _, ok := c.find(set, block); ok {
+		return false
 	}
-	return c.fill(set, tag)
+	return c.fill(set, block)
 }
 
 // Stats returns the accumulated counters.
@@ -174,11 +207,7 @@ func (c *SetAssoc) ReplacementPolicy() Policy { return c.policy }
 
 // Reset clears contents and counters (the replacement RNG is not reseeded).
 func (c *SetAssoc) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
-	}
-	c.clock = 0
+	clear(c.tags)
+	clear(c.wave)
 	c.stats = Stats{}
 }

@@ -14,8 +14,8 @@ import (
 var batchVariants = map[string][]string{
 	"de":        {"de:sticky=3", "de:store=hashed*4", "de:cold=miss,lastline", "de:nolastline"},
 	"de-stream": {"de-stream:depth=2"},
-	"lru":       {"lru:ways=4"},
-	"fifo":      {"fifo:ways=4"},
+	"lru":       {"lru:ways=4", "lru:ways=8"},
+	"fifo":      {"fifo:ways=4", "fifo:ways=8"},
 	"victim":    {"victim:entries=8"},
 	"stream":    {"stream:depth=2"},
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/trace"
 )
@@ -17,20 +15,12 @@ import (
 //
 //dynexcheck:hot
 func (c *Cache) BatchAccess(refs []trace.Ref) cache.BatchStats {
-	tags, valid, sticky, flag := c.tags, c.valid, c.sticky, c.flag
-	nsets := uint64(len(tags))
-	lineSize := c.geom.LineSize
-	if lineSize == 0 || lineSize&(lineSize-1) != 0 || nsets == 0 || nsets&(nsets-1) != 0 {
-		// Unreachable for a Validate()d geometry; fall back rather than
-		// mis-index.
-		before := c.stats
-		for i := range refs {
-			c.Access(refs[i].Addr)
-		}
-		return cache.BatchStats{Stats: c.stats.Sub(before)}
-	}
-	lineShift := bits.TrailingZeros64(lineSize)
-	setMask := nsets - 1
+	lineShift, setMask := c.lineShift&63, c.setMask
+	// Equal lengths let one bounds check per reference cover every
+	// state array, and the masked shift needs no overflow test.
+	nsets := setMask + 1
+	tags, valid := c.tags[:nsets:nsets], c.valid[:nsets:nsets]
+	sticky, flag := c.sticky[:nsets:nsets], c.flag[:nsets:nsets]
 	store := c.store
 	stickyMax := c.stickyMax
 	useLastLine := c.lastLine

@@ -93,6 +93,8 @@ type Config struct {
 // policy.
 type Cache struct {
 	geom      cache.Geometry
+	lineShift uint
+	setMask   uint64
 	store     HitLastStore
 	stickyMax uint8
 	lastLine  bool
@@ -136,9 +138,12 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.StickyMax < 1 || cfg.StickyMax > 255 {
 		return nil, fmt.Errorf("core: StickyMax %d out of [1,255]", cfg.StickyMax)
 	}
+	lineShift, setMask := cache.IndexShifts(cfg.Geometry)
 	n := cfg.Geometry.Sets()
 	return &Cache{
 		geom:      cfg.Geometry,
+		lineShift: lineShift,
+		setMask:   setMask,
 		store:     cfg.Store,
 		stickyMax: uint8(cfg.StickyMax),
 		lastLine:  cfg.UseLastLine,
@@ -159,8 +164,10 @@ func Must(cfg Config) *Cache {
 }
 
 // Access runs one reference through the policy.
+//
+//dynexcheck:hot
 func (c *Cache) Access(addr uint64) cache.Result {
-	block := c.geom.Block(addr)
+	block := addr >> c.lineShift
 
 	// §6: sequential references within the current line are served by the
 	// last-line register and do not touch the FSM. The register tracks
@@ -176,7 +183,7 @@ func (c *Cache) Access(addr uint64) cache.Result {
 		c.lastValid = true
 	}
 
-	set := block % uint64(len(c.tags))
+	set := block & c.setMask
 	if c.valid[set] && c.tags[set] == block {
 		c.sticky[set] = c.stickyMax
 		c.flag[set] = true
@@ -240,15 +247,15 @@ func (c *Cache) evict(set uint64) {
 // Contains reports whether addr's block is resident in the cache proper
 // (not the last-line buffer), without side effects.
 func (c *Cache) Contains(addr uint64) bool {
-	block := c.geom.Block(addr)
-	set := block % uint64(len(c.tags))
+	block := addr >> c.lineShift
+	set := block & c.setMask
 	return c.valid[set] && c.tags[set] == block
 }
 
 // Sticky returns the sticky level of addr's line (0 if not resident).
 func (c *Cache) Sticky(addr uint64) int {
-	block := c.geom.Block(addr)
-	set := block % uint64(len(c.tags))
+	block := addr >> c.lineShift
+	set := block & c.setMask
 	if !c.valid[set] || c.tags[set] != block {
 		return 0
 	}

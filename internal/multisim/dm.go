@@ -3,7 +3,6 @@ package multisim
 import (
 	"math/bits"
 
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/trace"
 )
@@ -85,19 +84,9 @@ func (c *DM) Batch(refs []trace.Ref) {
 }
 
 // Outcomes returns cumulative per-member stats in constructor size
-// order. Direct-mapped caches never bypass: misses equal fills.
+// order: member k's hits are the references counted at or below it.
 func (c *DM) Outcomes() []engine.ColumnOutcome {
-	outs := make([]engine.ColumnOutcome, len(c.members))
-	hits := uint64(0)
-	for k := range c.members {
-		hits += c.hitFrom[k]
-		outs[c.order[k]] = engine.ColumnOutcome{Stats: cache.Stats{
-			Accesses:  c.accesses,
-			Hits:      hits,
-			Misses:    c.accesses - hits,
-			Fills:     c.accesses - hits,
-			Evictions: c.members[k].evicts,
-		}}
-	}
-	return outs
+	return firstHitOutcomes(c.accesses, c.hitFrom, c.order, func(k int) (uint64, uint64) {
+		return 0, c.members[k].evicts
+	})
 }

@@ -3,7 +3,6 @@ package multisim
 import (
 	"math/bits"
 
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/trace"
 )
@@ -23,10 +22,9 @@ import (
 // it look up their ways, fill on a miss and set their MRA. Outcomes
 // adds the hitFrom prefix sum to each member's own non-MRA hits.
 //
-// Victim choice needs no clock. With no invalidation, cache.SetAssoc's
-// "first invalid way, else the oldest fill" is fill in way order, then
-// round-robin, so one wave counter per set stands in for the per-way
-// fill stamps and valid flags.
+// Victim choice needs no clock. With no invalidation, FIFO fills a set
+// in way order and then replaces round-robin, so one wave counter per
+// set names the next victim, as in cache.SetAssoc.
 type FIFO struct {
 	lineShift int
 	ways      uint64
@@ -47,8 +45,8 @@ type fifoMember struct {
 	// fill evicts way wave-ways. (2*ways fits: a set of 2^31 ways would
 	// need 16 GiB of tags.)
 	wave []uint32
-	// tags is flat (set-major, ways contiguous), matching the
-	// cache.SetAssoc batch kernel layout.
+	// tags is flat (set-major, ways contiguous), the cache.SetAssoc
+	// layout.
 	tags   []uint64
 	hits   uint64 // hits found by a way lookup, below the MRA walk's stop
 	evicts uint64
@@ -135,22 +133,9 @@ func (c *FIFO) Batch(refs []trace.Ref) {
 
 // Outcomes returns cumulative per-member stats in constructor size
 // order: member k's hits are the references counted at or below it by
-// the MRA walk plus its own way-lookup hits. Set-associative caches
-// never bypass: misses equal fills.
+// the MRA walk plus its own way-lookup hits.
 func (c *FIFO) Outcomes() []engine.ColumnOutcome {
-	outs := make([]engine.ColumnOutcome, len(c.members))
-	mraHits := uint64(0)
-	for k := range c.members {
-		m := &c.members[k]
-		mraHits += c.hitFrom[k]
-		hits := mraHits + m.hits
-		outs[c.order[k]] = engine.ColumnOutcome{Stats: cache.Stats{
-			Accesses:  c.accesses,
-			Hits:      hits,
-			Misses:    c.accesses - hits,
-			Fills:     c.accesses - hits,
-			Evictions: m.evicts,
-		}}
-	}
-	return outs
+	return firstHitOutcomes(c.accesses, c.hitFrom, c.order, func(k int) (uint64, uint64) {
+		return c.members[k].hits, c.members[k].evicts
+	})
 }

@@ -3,7 +3,6 @@ package multisim
 import (
 	"math/bits"
 
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/trace"
 )
@@ -20,11 +19,11 @@ import (
 // the front or inserting a miss there. Outcomes adds the hitFrom prefix
 // sum to each member's own non-MRA hits.
 //
-// Victim choice needs no clock. cache.SetAssoc fills the first invalid
-// way, else evicts the least recently used one; with no invalidation a
-// set's valid ways only grow, so a count says whether one is free, and
-// recency order puts the least recently used way last. Ordered ways and
-// a count per set stand in for the per-way use stamps and valid flags.
+// Victim choice needs no clock. LRU fills a free way, else evicts the
+// least recently used one; with no invalidation a set's valid ways only
+// grow, so a count says whether one is free, and recency order puts the
+// least recently used way last. Ordered ways and a count per set are
+// cache.SetAssoc's LRU layout too.
 type LRU struct {
 	lineShift int
 	ways      uint64
@@ -39,9 +38,9 @@ type LRU struct {
 type lruMember struct {
 	setMask uint64
 	valid   []uint32 // per set: the count of valid ways, at most ways
-	// tags is flat (set-major, ways contiguous), matching the
-	// cache.SetAssoc batch kernel layout; a set's ways [0, valid) hold
-	// its blocks most recently used first.
+	// tags is flat (set-major, ways contiguous), the cache.SetAssoc
+	// layout; a set's ways [0, valid) hold its blocks most recently used
+	// first.
 	tags   []uint64
 	hits   uint64 // hits found by a way search, below the MRA walk's stop
 	evicts uint64
@@ -125,22 +124,9 @@ func (c *LRU) Batch(refs []trace.Ref) {
 
 // Outcomes returns cumulative per-member stats in constructor size
 // order: member k's hits are the references counted at or below it by
-// the MRA walk plus its own way-search hits. Set-associative caches
-// never bypass: misses equal fills.
+// the MRA walk plus its own way-search hits.
 func (c *LRU) Outcomes() []engine.ColumnOutcome {
-	outs := make([]engine.ColumnOutcome, len(c.members))
-	mraHits := uint64(0)
-	for k := range c.members {
-		m := &c.members[k]
-		mraHits += c.hitFrom[k]
-		hits := mraHits + m.hits
-		outs[c.order[k]] = engine.ColumnOutcome{Stats: cache.Stats{
-			Accesses:  c.accesses,
-			Hits:      hits,
-			Misses:    c.accesses - hits,
-			Fills:     c.accesses - hits,
-			Evictions: m.evicts,
-		}}
-	}
-	return outs
+	return firstHitOutcomes(c.accesses, c.hitFrom, c.order, func(k int) (uint64, uint64) {
+		return c.members[k].hits, c.members[k].evicts
+	})
 }

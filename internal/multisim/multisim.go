@@ -54,6 +54,7 @@ import (
 	"sort"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 )
 
 // Validate reports whether a (line, sizes, ways) column is simulable by
@@ -97,4 +98,29 @@ func ascendingSizes(sizes []uint64) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] < sizes[order[b]] })
 	return order
+}
+
+// firstHitOutcomes returns cumulative per-member stats in constructor
+// size order for a column that counts each reference once, at its first
+// hitting member: hitFrom[k] counts the references first hit at member
+// k (ascending), so member k's hits are the prefix sum through k plus
+// the hits it found on its own, below the walk's stop. own reports
+// member k's own hits and evictions. Direct-mapped and set-associative
+// caches never bypass: misses equal fills.
+func firstHitOutcomes(accesses uint64, hitFrom []uint64, order []int, own func(k int) (hits, evicts uint64)) []engine.ColumnOutcome {
+	outs := make([]engine.ColumnOutcome, len(order))
+	prefix := uint64(0)
+	for k, oi := range order {
+		prefix += hitFrom[k]
+		ownHits, evicts := own(k)
+		hits := prefix + ownHits
+		outs[oi] = engine.ColumnOutcome{Stats: cache.Stats{
+			Accesses:  accesses,
+			Hits:      hits,
+			Misses:    accesses - hits,
+			Fills:     accesses - hits,
+			Evictions: evicts,
+		}}
+	}
+	return outs
 }

@@ -16,8 +16,9 @@ import (
 // code the way Jouppi's design does. The FSM still decides, line by
 // line, what is stored in the cache proper.
 type Exclusion struct {
-	de  *core.Cache
-	buf *Buffer
+	de        *core.Cache
+	buf       *Buffer
+	lineShift uint
 
 	cur      uint64
 	curValid bool
@@ -41,7 +42,8 @@ func NewExclusion(cfg core.Config, depth int) (*Exclusion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Exclusion{de: de, buf: buf}, nil
+	lineShift, _ := cache.IndexShifts(de.Geometry())
+	return &Exclusion{de: de, buf: buf, lineShift: lineShift}, nil
 }
 
 // MustExclusion is NewExclusion but panics on error.
@@ -54,8 +56,10 @@ func MustExclusion(cfg core.Config, depth int) *Exclusion {
 }
 
 // Access runs one reference.
+//
+//dynexcheck:hot
 func (e *Exclusion) Access(addr uint64) cache.Result {
-	block := e.de.Geometry().Block(addr)
+	block := addr >> e.lineShift
 
 	// Sequential fetches within the current line never leave the line
 	// register.

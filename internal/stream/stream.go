@@ -55,11 +55,13 @@ func (b *Buffer) Restart(block uint64) {
 // hit the buffer head are counted as hits (the line was already on its way
 // from the next level) and are filled into the cache.
 type Cache struct {
-	geom  cache.Geometry
-	tags  []uint64
-	valid []bool
-	buf   *Buffer
-	stats cache.Stats
+	geom      cache.Geometry
+	lineShift uint
+	setMask   uint64
+	tags      []uint64
+	valid     []bool
+	buf       *Buffer
+	stats     cache.Stats
 
 	streamHits uint64 // references served by the buffer head
 }
@@ -74,12 +76,15 @@ func New(geom cache.Geometry, depth int) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
+	lineShift, setMask := cache.IndexShifts(geom)
 	n := geom.Sets()
 	return &Cache{
-		geom:  geom,
-		tags:  make([]uint64, n),
-		valid: make([]bool, n),
-		buf:   buf,
+		geom:      geom,
+		lineShift: lineShift,
+		setMask:   setMask,
+		tags:      make([]uint64, n),
+		valid:     make([]bool, n),
+		buf:       buf,
 	}, nil
 }
 
@@ -93,9 +98,11 @@ func Must(geom cache.Geometry, depth int) *Cache {
 }
 
 // Access references addr.
+//
+//dynexcheck:hot
 func (c *Cache) Access(addr uint64) cache.Result {
-	block := c.geom.Block(addr)
-	set := block % uint64(len(c.tags))
+	block := addr >> c.lineShift
+	set := block & c.setMask
 	if c.valid[set] && c.tags[set] == block {
 		c.stats.Record(cache.Hit, false)
 		return cache.Hit

@@ -17,23 +17,21 @@ import (
 	"repro/internal/cache"
 )
 
-// entry is one victim-buffer slot.
-type entry struct {
-	block uint64
-	valid bool
-	stamp uint64 // LRU
-}
-
 // Cache is a direct-mapped cache backed by a small fully-associative
 // victim buffer. A reference that misses the main cache but hits the
 // buffer swaps the two blocks and counts as a hit (it did not go to the
 // next memory level).
 type Cache struct {
-	geom    cache.Geometry
-	tags    []uint64
-	valid   []bool
-	victims []entry
-	clock   uint64
+	geom      cache.Geometry
+	lineShift uint
+	setMask   uint64
+	tags      []uint64
+	valid     []bool
+	// victims[:held] are the buffer's blocks, most recently placed
+	// first, so the last is the least recently used entry that a full
+	// buffer drops next.
+	victims []uint64
+	held    int
 	stats   cache.Stats
 
 	victimHits uint64 // references served by a swap with the buffer
@@ -50,12 +48,15 @@ func New(geom cache.Geometry, entries int) (*Cache, error) {
 	if entries < 1 {
 		return nil, fmt.Errorf("victim: need at least one entry, got %d", entries)
 	}
+	lineShift, setMask := cache.IndexShifts(geom)
 	n := geom.Sets()
 	return &Cache{
-		geom:    geom,
-		tags:    make([]uint64, n),
-		valid:   make([]bool, n),
-		victims: make([]entry, entries),
+		geom:      geom,
+		lineShift: lineShift,
+		setMask:   setMask,
+		tags:      make([]uint64, n),
+		valid:     make([]bool, n),
+		victims:   make([]uint64, entries),
 	}, nil
 }
 
@@ -69,28 +70,25 @@ func Must(geom cache.Geometry, entries int) *Cache {
 }
 
 // Access references addr.
+//
+//dynexcheck:hot
 func (c *Cache) Access(addr uint64) cache.Result {
-	c.clock++
-	block := c.geom.Block(addr)
-	set := block % uint64(len(c.tags))
+	block := addr >> c.lineShift
+	set := block & c.setMask
 	if c.valid[set] && c.tags[set] == block {
 		c.stats.Record(cache.Hit, false)
 		return cache.Hit
 	}
 	// Probe the victim buffer.
-	for i := range c.victims {
-		v := &c.victims[i]
-		if v.valid && v.block == block {
+	for i, v := range c.victims[:c.held] {
+		if v == block {
 			// Swap: the requested block moves to the main cache, the
-			// displaced resident takes its buffer slot.
-			if c.valid[set] {
-				v.block = c.tags[set]
-				v.stamp = c.clock
-			} else {
-				v.valid = false
-			}
+			// displaced resident takes its buffer entry as the most
+			// recently placed. The line is valid: the buffer only holds
+			// blocks displaced from their own line, and a line never
+			// empties again.
+			c.place(i, c.tags[set])
 			c.tags[set] = block
-			c.valid[set] = true
 			c.victimHits++
 			c.stats.Record(cache.Hit, false)
 			return cache.Hit
@@ -99,7 +97,10 @@ func (c *Cache) Access(addr uint64) cache.Result {
 	// True miss: displace the resident into the buffer, fill from below.
 	evicted := c.valid[set]
 	if evicted {
-		c.insertVictim(c.tags[set])
+		if c.held < len(c.victims) {
+			c.held++
+		}
+		c.place(c.held-1, c.tags[set])
 	}
 	c.tags[set] = block
 	c.valid[set] = true
@@ -107,31 +108,26 @@ func (c *Cache) Access(addr uint64) cache.Result {
 	return cache.MissFill
 }
 
-// insertVictim places block in the buffer, evicting the LRU entry.
-func (c *Cache) insertVictim(block uint64) {
-	lru := 0
-	for i := range c.victims {
-		if !c.victims[i].valid {
-			lru = i
-			break
-		}
-		if c.victims[i].stamp < c.victims[lru].stamp {
-			lru = i
-		}
+// place drops buffer entry i, moves the entries before it down one and
+// puts block first.
+func (c *Cache) place(i int, block uint64) {
+	v := c.victims
+	for ; i > 0; i-- {
+		v[i] = v[i-1]
 	}
-	c.victims[lru] = entry{block: block, valid: true, stamp: c.clock}
+	v[0] = block
 }
 
 // Contains reports whether addr's block is in the main cache or the
 // buffer.
 func (c *Cache) Contains(addr uint64) bool {
-	block := c.geom.Block(addr)
-	set := block % uint64(len(c.tags))
+	block := addr >> c.lineShift
+	set := block & c.setMask
 	if c.valid[set] && c.tags[set] == block {
 		return true
 	}
-	for i := range c.victims {
-		if c.victims[i].valid && c.victims[i].block == block {
+	for _, v := range c.victims[:c.held] {
+		if v == block {
 			return true
 		}
 	}
