@@ -71,6 +71,7 @@ fuzz:
 	go test -fuzz FuzzSimulateDM -fuzztime 30s ./internal/opt/
 	go test -fuzz FuzzJournalOpen -fuzztime 30s ./internal/checkpoint/
 	go test -fuzz FuzzParseSpec -fuzztime 30s ./internal/policy/
+	go test -fuzz FuzzColumn -fuzztime 30s ./internal/conformance/
 
 # End-to-end crash-safety smoke for dynex-serve (DESIGN.md §12): start
 # the service (race-enabled build), submit a job, SIGTERM it mid-run,

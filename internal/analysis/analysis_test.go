@@ -151,16 +151,21 @@ func TestRegistryFixture(t *testing.T) {
 }
 
 // TestBatchStatsFixture pins the batch-stats analyzer: per-reference
-// Stats writes inside a BatchAccess loop — method calls, field
-// increments, whole-value assignments, even on a local delta — are
-// findings, while local-counter accumulation, the single post-loop
-// flush, policy-state writes, and scalar code pass.
+// Stats writes inside the loop of a BatchAccess, a Decode or a *Blocks
+// family loop — method calls, field increments, whole-value
+// assignments, even on a local delta — are findings, while
+// local-counter accumulation, the single post-loop flush, policy-state
+// writes, and scalar code pass. The cache package's own loops are
+// checked too.
 func TestBatchStatsFixture(t *testing.T) {
 	wantDiags(t, checkFixture(t, "batchstats"), []string{
-		`internal/core/kernel.go:20: [batch-stats] Stats.Record inside a BatchAccess loop: accumulate in locals and flush once per batch`,
-		`internal/core/kernel.go:21: [batch-stats] write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch`,
-		`internal/core/kernel.go:22: [batch-stats] write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch`,
-		`internal/core/kernel.go:23: [batch-stats] Stats.Record inside a BatchAccess loop: accumulate in locals and flush once per batch`,
+		`internal/cache/cache.go:45: [batch-stats] write through cache.Stats inside AccessBlocks's loop: accumulate in locals and flush once per call`,
+		`internal/core/kernel.go:20: [batch-stats] Stats.Record inside BatchAccess's loop: accumulate in locals and flush once per call`,
+		`internal/core/kernel.go:21: [batch-stats] write through cache.Stats inside BatchAccess's loop: accumulate in locals and flush once per call`,
+		`internal/core/kernel.go:22: [batch-stats] write through cache.Stats inside BatchAccess's loop: accumulate in locals and flush once per call`,
+		`internal/core/kernel.go:23: [batch-stats] Stats.Record inside BatchAccess's loop: accumulate in locals and flush once per call`,
+		`internal/core/kernel.go:83: [batch-stats] Stats.Record inside AccessBlocks's loop: accumulate in locals and flush once per call`,
+		`internal/core/kernel.go:96: [batch-stats] write through cache.Stats inside lruBlocks's loop: accumulate in locals and flush once per call`,
 	})
 }
 

@@ -3,11 +3,13 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // BatchStatsAnalyzer enforces the batch-kernel accumulation discipline:
-// inside the loops of a BatchAccess method, counters must accumulate in
-// plain locals and flush into cache.Stats once per batch. A per-reference
+// inside the loops of a batch function (isBatchLoop: BatchAccess, a
+// Decode, and the family loops named *Blocks), counters must accumulate
+// in plain locals and flush into cache.Stats once per call. A per-reference
 // write through a Stats value — a Stats method call (Record, Add) or an
 // assignment targeting a Stats-typed expression — re-introduces exactly
 // the per-access bookkeeping the fast path exists to hoist, and on some
@@ -15,7 +17,7 @@ import (
 // flushed at the end).
 var BatchStatsAnalyzer = &Analyzer{
 	Name: "batch-stats",
-	Doc:  "ban per-reference cache.Stats writes inside BatchAccess kernel loops; accumulate in locals, flush once per batch",
+	Doc:  "ban per-reference cache.Stats writes inside batch loops (BatchAccess, Decode, *Blocks); accumulate in locals, flush once per call",
 	Run:  runBatchStats,
 }
 
@@ -28,9 +30,10 @@ func runBatchStats(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "BatchAccess" || fd.Body == nil {
+			if !ok || !isBatchLoop(fd.Name.Name) || fd.Body == nil {
 				continue
 			}
+			name := fd.Name.Name
 			// Collect the loop bodies; a write is per-reference only when it
 			// executes once per iteration.
 			var loops []ast.Node
@@ -60,8 +63,8 @@ func runBatchStats(pass *Pass) {
 						return true
 					}
 					pass.Reportf(x.Pos(),
-						"Stats.%s inside a BatchAccess loop: accumulate in locals and flush once per batch",
-						fn.Name())
+						"Stats.%s inside %s's loop: accumulate in locals and flush once per call",
+						fn.Name(), name)
 				case *ast.AssignStmt:
 					if !inLoop(x) {
 						return true
@@ -69,7 +72,7 @@ func runBatchStats(pass *Pass) {
 					for _, lhs := range x.Lhs {
 						if e := statsPrefix(info, lhs, statsType); e != nil {
 							pass.Reportf(lhs.Pos(),
-								"write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch")
+								"write through cache.Stats inside %s's loop: accumulate in locals and flush once per call", name)
 						}
 					}
 				case *ast.IncDecStmt:
@@ -78,13 +81,21 @@ func runBatchStats(pass *Pass) {
 					}
 					if e := statsPrefix(info, x.X, statsType); e != nil {
 						pass.Reportf(x.Pos(),
-							"write through cache.Stats inside a BatchAccess loop: accumulate in locals and flush once per batch")
+							"write through cache.Stats inside %s's loop: accumulate in locals and flush once per call", name)
 					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// isBatchLoop reports whether a function of this name is one of the
+// batch paths the rule covers: a BatchAccess driver, the Decode that
+// feeds a family's batch loop, and the loops themselves (AccessBlocks
+// and the per-policy loops it dispatches to, all named *Blocks).
+func isBatchLoop(name string) bool {
+	return name == "BatchAccess" || name == "Decode" || strings.HasSuffix(name, "Blocks")
 }
 
 // cacheStatsType resolves the module's cache.Stats named type (nil when
@@ -113,7 +124,17 @@ func isStatsMethod(fn *types.Func, stats *types.Named) bool {
 		recv = ptr.Elem()
 	}
 	named := namedOf(recv)
-	return named != nil && named.Obj() == stats.Obj()
+	return named != nil && isStats(named, stats)
+}
+
+// isStats reports whether named is the cache.Stats type stats. It
+// compares package path and name rather than objects: package cache's
+// own files are type-checked together with its tests, apart from the
+// base package importers see, so inside package cache Stats is another
+// object of the same name.
+func isStats(named, stats *types.Named) bool {
+	obj := named.Obj()
+	return obj.Name() == stats.Obj().Name() && obj.Pkg() != nil && obj.Pkg().Path() == stats.Obj().Pkg().Path()
 }
 
 // statsPrefix returns the shortest prefix of assignable expression e
@@ -125,7 +146,7 @@ func statsPrefix(info *types.Info, e ast.Expr, stats *types.Named) ast.Expr {
 			return nil
 		}
 		if tv, ok := info.Types[e]; ok {
-			if named := namedOf(tv.Type); named != nil && named.Obj() == stats.Obj() {
+			if named := namedOf(tv.Type); named != nil && isStats(named, stats) {
 				return e
 			}
 		}

@@ -8,8 +8,9 @@ import (
 )
 
 // HotPathAnalyzer is the hotpath-alloc check: a function annotated with
-// a //dynexcheck:hot doc comment (the BatchAccess kernels, the trace
-// batch decode loop, the policy drive loop, the obs counter fast paths)
+// a //dynexcheck:hot doc comment (BatchAccess, the family batch loops
+// and a size column's Batch, the trace batch decode loop, the policy
+// drive loop, the obs counter fast paths)
 // must not contain allocating constructs. The flagged set is the one
 // that matters at ~150M refs/sec:
 //

@@ -30,3 +30,20 @@ func (s *Stats) Add(d Stats) {
 type BatchStats struct {
 	Stats Stats
 }
+
+// Line is a cache whose batch loop lives in this package, next to
+// Stats: the rule must see this package's loops too.
+type Line struct {
+	tags  []uint64
+	stats Stats
+}
+
+// AccessBlocks books a hit per reference.
+func (c *Line) AccessBlocks(blocks []uint64) []uint64 {
+	for _, b := range blocks {
+		if c.tags[b%8] == b {
+			c.stats.Hits++ // finding: write through a Stats field
+		}
+	}
+	return blocks
+}

@@ -1,4 +1,4 @@
-// Package core is the batch-stats fixture: BatchAccess kernels with
+// Package core is the batch-stats fixture: batch loops with
 // per-reference Stats writes (findings) and the sanctioned
 // accumulate-then-flush shape (clean).
 package core
@@ -27,7 +27,7 @@ func (c *Sim) BatchAccess(refs []uint64) cache.BatchStats {
 }
 
 // Fast is the sanctioned kernel shape; the same writes are legal outside
-// a function named BatchAccess.
+// a batch function.
 type Fast struct {
 	tags  []uint64
 	stats cache.Stats
@@ -52,6 +52,50 @@ func (c *Fast) BatchAccess(refs []uint64) cache.BatchStats {
 // Access is scalar code: per-reference Stats writes are its job.
 func (c *Fast) Access(addr uint64) {
 	for i := 0; i < 1; i++ {
-		c.stats.Record(c.tags[addr%8] == addr) // clean: not a BatchAccess
+		c.stats.Record(c.tags[addr%8] == addr) // clean: not a batch function
 	}
+}
+
+// Set is a simulator whose batch path is a decode pass feeding a
+// family loop, as the real dm, lru, fifo and de caches have it.
+type Set struct {
+	tags  []uint64
+	stats cache.Stats
+}
+
+// Decode counts the references it filters out once, after its loop.
+func (c *Set) Decode(dst, refs []uint64) []uint64 {
+	n := 0
+	for _, addr := range refs {
+		if addr != 0 {
+			dst[n] = addr
+			n++
+		}
+	}
+	c.stats.Add(cache.Stats{Accesses: uint64(len(refs) - n)}) // clean: once per call
+	return dst[:n]
+}
+
+// AccessBlocks is the offending family loop: a batch loop need not be
+// called BatchAccess to be one.
+func (c *Set) AccessBlocks(blocks []uint64) []uint64 {
+	for _, b := range blocks {
+		c.stats.Record(c.tags[b%8] == b) // finding: Stats method call in the loop
+	}
+	return c.lruBlocks(blocks)
+}
+
+// lruBlocks is a per-policy loop AccessBlocks dispatches to.
+func (c *Set) lruBlocks(blocks []uint64) []uint64 {
+	var hits uint64
+	for _, b := range blocks {
+		if c.tags[b%8] == b {
+			hits++ // clean: plain local accumulation
+			continue
+		}
+		c.stats.Misses++ // finding: write through a Stats field
+		c.tags[b%8] = b
+	}
+	c.stats.Add(cache.Stats{Hits: hits}) // clean: once per call
+	return blocks
 }

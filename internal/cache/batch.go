@@ -57,122 +57,71 @@ func IndexShifts(g Geometry) (lineShift uint, setMask uint64) {
 	return uint(shift), mask
 }
 
-// BatchAccess is the direct-mapped flat kernel: geometry constants are
-// hoisted out of the loop and outcome counters accumulate in locals,
-// flushed into Stats once per batch. Evictions route through OnEvict
-// exactly as the scalar path does.
+// BlockChunk is the number of references decoded for one call of a
+// family's batch loop (AccessBlocks), by BatchAccess and by a size
+// column alike: their block numbers fit in 8 KiB, which BatchAccess
+// keeps on its stack.
+const BlockChunk = 1 << 10
+
+// DecodeBlocks writes the block number (addr >> lineShift) of every
+// reference in refs to dst, which must be at least as long, and
+// returns them.
+//
+//dynexcheck:hot
+func DecodeBlocks(dst []uint64, refs []trace.Ref, lineShift uint) []uint64 {
+	dst = dst[:len(refs)]
+	lineShift &= 63
+	for i := range refs {
+		dst[i] = refs[i].Addr >> lineShift
+	}
+	return dst
+}
+
+// BatchAccess decodes refs a BlockChunk at a time and runs each chunk
+// through AccessBlocks, the direct-mapped batch loop. A cache with an
+// OnEvict hook takes Access once per reference instead, so hook calls
+// come in exactly the order scalar Access makes them.
 //
 //dynexcheck:hot
 func (c *DirectMapped) BatchAccess(refs []trace.Ref) BatchStats {
-	lineShift, setMask := c.lineShift&63, c.setMask
-	// Equal lengths let one bounds check per reference cover every
-	// state array, and the masked shift needs no overflow test.
-	nsets := setMask + 1
-	tags, valid := c.tags[:nsets:nsets], c.valid[:nsets:nsets]
-	onEvict := c.OnEvict
-	var hits, fills, evictions uint64
-	for i := range refs {
-		block := refs[i].Addr >> lineShift
-		set := block & setMask
-		if valid[set] && tags[set] == block {
-			hits++
-			continue
-		}
-		if valid[set] {
-			evictions++
-			if onEvict != nil {
-				onEvict(tags[set])
-			}
-		} else {
-			valid[set] = true
-		}
-		tags[set] = block
-		fills++
-	}
-	d := Stats{
-		Accesses:  uint64(len(refs)),
-		Hits:      hits,
-		Misses:    fills,
-		Fills:     fills,
-		Evictions: evictions,
-	}
-	c.stats.Add(d)
-	return BatchStats{Stats: d}
-}
-
-// BatchAccess is the set-associative flat kernel (LRU, FIFO, random). It
-// tests way 0 first, which is an LRU set's most recently used, moves an
-// LRU hit to the front, and runs LRU and FIFO fills and evictions
-// inline. Random victims and OnEvict-hooked caches take the shared fill
-// through Access instead, so RNG draws and hook calls come in exactly
-// the order scalar Access makes them.
-//
-//dynexcheck:hot
-func (c *SetAssoc) BatchAccess(refs []trace.Ref) BatchStats {
-	if c.policy == RandomRepl || c.OnEvict != nil {
-		before := c.stats
+	before := c.stats
+	if c.OnEvict != nil {
 		for i := range refs {
 			c.Access(refs[i].Addr)
 		}
 		return BatchStats{Stats: c.stats.Sub(before)}
 	}
-	tags, wave := c.tags, c.wave
-	lineShift, setMask, ways := c.lineShift&63, c.setMask, c.ways
-	lru := c.policy == LRU
-	var fills, evictions uint64
-	for i := range refs {
-		block := refs[i].Addr >> lineShift
-		set := block & setMask
-		base := set * ways
-		st := tags[base : base+ways : base+ways]
-		w := uint64(wave[set])
-		if w != 0 && st[0] == block {
-			continue
-		}
-		valid := min(w, ways)
-		j := uint64(1)
-		for j < valid && st[j] != block {
-			j++
-		}
-		if j < valid {
-			if lru {
-				toFront(st, j, block)
-			}
-			continue
-		}
-		fills++
-		switch {
-		case lru:
-			if w < ways {
-				j = w
-				wave[set] = uint32(w + 1)
-			} else {
-				j = ways - 1
-				evictions++
-			}
-			toFront(st, j, block)
-		case w < ways:
-			st[w] = block
-			wave[set] = uint32(w + 1)
-		default:
-			st[w-ways] = block
-			evictions++
-			if w++; w == 2*ways {
-				w = ways
-			}
-			wave[set] = uint32(w)
-		}
+	var buf [BlockChunk]uint64
+	for len(refs) > 0 {
+		n := min(len(refs), BlockChunk)
+		c.AccessBlocks(c.Decode(buf[:], refs[:n]))
+		refs = refs[n:]
 	}
-	n := uint64(len(refs))
-	d := Stats{
-		Accesses:  n,
-		Hits:      n - fills,
-		Misses:    fills,
-		Fills:     fills,
-		Evictions: evictions,
+	return BatchStats{Stats: c.stats.Sub(before)}
+}
+
+// BatchAccess decodes refs a BlockChunk at a time and runs each chunk
+// through AccessBlocks, the LRU or FIFO batch loop. Random victims and
+// OnEvict-hooked caches take Access once per reference instead, so RNG
+// draws and hook calls come in exactly the order scalar Access makes
+// them.
+//
+//dynexcheck:hot
+func (c *SetAssoc) BatchAccess(refs []trace.Ref) BatchStats {
+	before := c.stats
+	if c.policy == RandomRepl || c.OnEvict != nil {
+		for i := range refs {
+			c.Access(refs[i].Addr)
+		}
+		return BatchStats{Stats: c.stats.Sub(before)}
 	}
-	c.stats.Add(d)
-	return BatchStats{Stats: d}
+	var buf [BlockChunk]uint64
+	for len(refs) > 0 {
+		n := min(len(refs), BlockChunk)
+		c.AccessBlocks(c.Decode(buf[:], refs[:n]))
+		refs = refs[n:]
+	}
+	return BatchStats{Stats: c.stats.Sub(before)}
 }
 
 // ScalarOnly returns sim stripped of any batched fast path: the wrapper

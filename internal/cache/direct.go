@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/trace"
+)
 
 // DirectMapped is a conventional direct-mapped cache: every block has
 // exactly one line it can live in, and the most recent reference always
@@ -65,6 +69,55 @@ func (c *DirectMapped) Access(addr uint64) Result {
 	c.valid[set] = true
 	c.stats.Record(MissFill, evicted)
 	return MissFill
+}
+
+// Decode writes the block numbers of refs to dst, which must be at
+// least as long, and returns them: the input AccessBlocks takes.
+func (c *DirectMapped) Decode(dst []uint64, refs []trace.Ref) []uint64 {
+	return DecodeBlocks(dst, refs, c.lineShift)
+}
+
+// AccessBlocks is the direct-mapped batch loop. It runs decoded block
+// numbers through the cache in order, as Access runs addresses, and
+// records them in Stats once per call. It returns the misses,
+// compacted to the front of blocks. By inclusion a hit is a hit, with
+// no state change, in a direct-mapped cache of any larger power-of-two
+// size and the same line size, so a size column hands only the misses
+// on to its next member. OnEvict is not called: BatchAccess sends a
+// hooked cache through Access.
+//
+//dynexcheck:hot
+func (c *DirectMapped) AccessBlocks(blocks []uint64) []uint64 {
+	setMask := c.setMask
+	// Equal lengths let one bounds check per block cover both state
+	// arrays.
+	nsets := setMask + 1
+	tags, valid := c.tags[:nsets:nsets], c.valid[:nsets:nsets]
+	var evictions uint64
+	n := 0
+	for _, block := range blocks {
+		set := block & setMask
+		if valid[set] && tags[set] == block {
+			continue
+		}
+		if valid[set] {
+			evictions++
+		} else {
+			valid[set] = true
+		}
+		tags[set] = block
+		blocks[n] = block
+		n++
+	}
+	misses := uint64(n)
+	c.stats.Add(Stats{
+		Accesses:  uint64(len(blocks)),
+		Hits:      uint64(len(blocks)) - misses,
+		Misses:    misses,
+		Fills:     misses,
+		Evictions: evictions,
+	})
+	return blocks[:n]
 }
 
 // Contains reports whether addr's block is resident (no stats side

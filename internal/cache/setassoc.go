@@ -3,6 +3,8 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/trace"
 )
 
 // Policy selects the victim way within a set on a fill.
@@ -39,8 +41,10 @@ func (p Policy) String() string {
 // only grow, so a count per set says which are valid, and way order
 // carries the rest: LRU keeps a set's ways most recently used first, so
 // the last is its victim, while FIFO and random keep them in fill
-// position, where FIFO's oldest fill is the next way round. This is the
-// per-set layout of the multisim LRU and FIFO columns.
+// position, where FIFO's oldest fill is the next way round. A FIFO set
+// also keeps the block it last took, which is always resident: a
+// reference to it is a hit that changes nothing, so the FIFO batch loop
+// needs no way lookup for it, as LRU's needs none for way 0.
 type SetAssoc struct {
 	geom      Geometry
 	policy    Policy
@@ -54,8 +58,12 @@ type SetAssoc struct {
 	// is full, LRU and random hold it at ways, and FIFO cycles it
 	// through [ways, 2*ways): its next fill evicts way wave-ways. (2*ways
 	// fits: a set of 2^31 ways would need 16 GiB of tags.)
-	wave  []uint32
-	rng   *rand.Rand
+	wave []uint32
+	// mra[s] is, for FIFO, the block set s last took (by Access, Fill
+	// or the batch loop), resident whenever wave[s] > 0. Other policies
+	// leave it nil.
+	mra   []uint64
+	rng   *rand.Rand // RandomRepl only
 	stats Stats
 
 	// OnEvict, if non-nil, receives the block number of each displaced
@@ -75,7 +83,7 @@ func NewSetAssoc(geom Geometry, policy Policy, seed int64) (*SetAssoc, error) {
 	lineShift, setMask := IndexShifts(geom)
 	nsets := geom.Sets()
 	ways := uint64(geom.WaysPerSet())
-	return &SetAssoc{
+	c := &SetAssoc{
 		geom:      geom,
 		policy:    policy,
 		lineShift: lineShift,
@@ -83,8 +91,14 @@ func NewSetAssoc(geom Geometry, policy Policy, seed int64) (*SetAssoc, error) {
 		ways:      ways,
 		tags:      make([]uint64, nsets*ways),
 		wave:      make([]uint32, nsets),
-		rng:       rand.New(rand.NewSource(seed)),
-	}, nil
+	}
+	if policy == FIFO {
+		c.mra = make([]uint64, nsets)
+	}
+	if policy == RandomRepl {
+		c.rng = rand.New(rand.NewSource(seed))
+	}
+	return c, nil
 }
 
 // MustSetAssoc is NewSetAssoc but panics on error.
@@ -126,6 +140,8 @@ func (c *SetAssoc) Access(addr uint64) Result {
 	if j, ok := c.find(set, block); ok {
 		if c.policy == LRU {
 			toFront(c.tags[set*c.ways:], j, block)
+		} else if c.mra != nil {
+			c.mra[set] = block
 		}
 		c.stats.Record(Hit, false)
 		return Hit
@@ -137,8 +153,12 @@ func (c *SetAssoc) Access(addr uint64) Result {
 
 // fill places block, which set does not hold, reporting whether a valid
 // way was displaced. The OnEvict hook sees the displaced block before
-// its way is overwritten.
+// its way is overwritten. A FIFO set's MRA word moves to block, so it
+// never names the block a fill displaced.
 func (c *SetAssoc) fill(set, block uint64) bool {
+	if c.mra != nil {
+		c.mra[set] = block
+	}
 	ways := c.ways
 	base := set * ways
 	st := c.tags[base : base+ways : base+ways]
@@ -196,6 +216,131 @@ func (c *SetAssoc) Fill(addr uint64) bool {
 	return c.fill(set, block)
 }
 
+// Decode writes the block numbers of refs to dst, which must be at
+// least as long, and returns them: the input AccessBlocks takes.
+func (c *SetAssoc) Decode(dst []uint64, refs []trace.Ref) []uint64 {
+	return DecodeBlocks(dst, refs, c.lineShift)
+}
+
+// AccessBlocks runs decoded block numbers through an LRU or FIFO cache
+// in order, as Access runs addresses, and records them in Stats once
+// per call. It returns the blocks that failed their set's MRA test,
+// compacted to the front of blocks. A block that passes it is its
+// set's most recently accessed block, a hit that changes no state; with
+// the same line size and ways it is the most recently accessed block
+// of its set at every larger power-of-two size too (MRA residency
+// nests, DEW arXiv:1506.03181), so a size column hands only the failed
+// blocks on to its next member. The cache must have no OnEvict hook and
+// must not be RandomRepl: BatchAccess sends those through Access.
+func (c *SetAssoc) AccessBlocks(blocks []uint64) []uint64 {
+	if c.policy == LRU {
+		return c.lruBlocks(blocks)
+	}
+	return c.fifoBlocks(blocks)
+}
+
+// lruBlocks is the LRU batch loop. A set's MRA block is way 0. Any
+// other hit rotates to the front, and a miss is inserted there,
+// filling a free way or dropping the last.
+//
+//dynexcheck:hot
+func (c *SetAssoc) lruBlocks(blocks []uint64) []uint64 {
+	tags, wave := c.tags, c.wave
+	setMask, ways := c.setMask, c.ways
+	var hits, evictions uint64
+	n := 0
+	for _, block := range blocks {
+		set := block & setMask
+		base := set * ways
+		st := tags[base : base+ways : base+ways]
+		w := uint64(wave[set])
+		if w != 0 && st[0] == block {
+			continue
+		}
+		blocks[n] = block
+		n++
+		// j ends as the way to vacate: the block's own on a hit, the
+		// first free way on a fill, else the last (the LRU victim).
+		j := uint64(1)
+		for j < w && st[j] != block {
+			j++
+		}
+		switch {
+		case j < w:
+			hits++
+		case w < ways:
+			j = w
+			wave[set] = uint32(w + 1)
+		default:
+			j = ways - 1
+			evictions++
+		}
+		toFront(st, j, block)
+	}
+	c.stats.Add(blockStats(len(blocks), n, hits, evictions))
+	return blocks[:n]
+}
+
+// fifoBlocks is the FIFO batch loop. A hit changes nothing but the
+// MRA word; a miss fills the next way in the set's wave, evicting once
+// the set is full.
+//
+//dynexcheck:hot
+func (c *SetAssoc) fifoBlocks(blocks []uint64) []uint64 {
+	tags, wave, mra := c.tags, c.wave, c.mra
+	setMask, ways := c.setMask, c.ways
+	var hits, evictions uint64
+	n := 0
+	for _, block := range blocks {
+		set := block & setMask
+		if mra[set] == block && wave[set] != 0 {
+			continue
+		}
+		mra[set] = block
+		w := uint64(wave[set])
+		blocks[n] = block
+		n++
+		base := set * ways
+		st := tags[base : base+ways : base+ways]
+		valid := min(w, ways)
+		j := uint64(0)
+		for j < valid && st[j] != block {
+			j++
+		}
+		switch {
+		case j < valid:
+			hits++
+			continue
+		case w < ways:
+			st[w] = block
+			w++
+		default:
+			st[w-ways] = block
+			evictions++
+			if w++; w == 2*ways {
+				w = ways
+			}
+		}
+		wave[set] = uint32(w)
+	}
+	c.stats.Add(blockStats(len(blocks), n, hits, evictions))
+	return blocks[:n]
+}
+
+// blockStats is the Stats of one set-associative batch loop call: in
+// blocks went in and out of them failed the MRA test; a way lookup
+// found hits of those, and the rest were fills.
+func blockStats(in, out int, hits, evictions uint64) Stats {
+	fills := uint64(out) - hits
+	return Stats{
+		Accesses:  uint64(in),
+		Hits:      uint64(in-out) + hits,
+		Misses:    fills,
+		Fills:     fills,
+		Evictions: evictions,
+	}
+}
+
 // Stats returns the accumulated counters.
 func (c *SetAssoc) Stats() Stats { return c.stats }
 
@@ -209,5 +354,6 @@ func (c *SetAssoc) ReplacementPolicy() Policy { return c.policy }
 func (c *SetAssoc) Reset() {
 	clear(c.tags)
 	clear(c.wave)
+	clear(c.mra)
 	c.stats = Stats{}
 }

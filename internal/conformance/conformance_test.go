@@ -75,23 +75,25 @@ var wideColumn = []uint64{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 
 // ones at one-word and multi-word line sizes, the wide column the
 // benchmark runs at 4 and 64 B lines, and an unsorted column that
 // repeats a size — and asserts ineligible families report themselves
-// so, falling back to the per-cell path.
+// so, falling back to the per-cell path. The line=4 case's streams are
+// long enough that the chunk cycle reaches a whole cache.BatchChunk.
 func TestMultisimDifferential(t *testing.T) {
 	cases := []struct {
 		name  string
 		line  uint64
 		sizes []uint64
+		refs  int
 	}{
-		{"line=4", 4, []uint64{1 << 11, 1 << 12, 1 << 13, 1 << 14}},
-		{"line=16", 16, []uint64{1 << 12, 1 << 13, 1 << 15}},
-		{"wide/line=4", 4, wideColumn},
-		{"wide/line=64", 64, wideColumn},
-		{"unsorted-repeat/line=8", 8, []uint64{1 << 14, 1 << 11, 1 << 14, 1 << 12, 1 << 11}},
+		{"line=4", 4, []uint64{1 << 11, 1 << 12, 1 << 13, 1 << 14}, 1 + 7 + 501 + 4096 + cache.BatchChunk + 3000},
+		{"line=16", 16, []uint64{1 << 12, 1 << 13, 1 << 15}, 0},
+		{"wide/line=4", 4, wideColumn, 0},
+		{"wide/line=64", 64, wideColumn, 0},
+		{"unsorted-repeat/line=8", 8, []uint64{1 << 14, 1 << 11, 1 << 14, 1 << 12, 1 << 11}, 0},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			CheckMultisimRegistry(t, c.line, c.sizes, Options{Streams: 3})
+			CheckMultisimRegistry(t, c.line, c.sizes, Options{Streams: 3, Refs: c.refs})
 		})
 	}
 }

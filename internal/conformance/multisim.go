@@ -74,7 +74,7 @@ func CheckMultisimRegistry(t *testing.T, line uint64, sizes []uint64, opts Optio
 // spanning the column.
 func checkColumnSpec(t *testing.T, sp policy.Spec, newCol func() (engine.Column, error), line uint64, sizes []uint64, opts Options) {
 	t.Helper()
-	chunks := []int{1, 7, 501, 4096}
+	chunks := []int{1, 7, 501, 4096, cache.BatchChunk}
 	var streams [][]trace.Ref
 	for seed := int64(1); seed <= int64(opts.Streams); seed++ {
 		streams = append(streams, refStream(seed, opts.Refs), columnStream(seed, opts.Refs, sizes))

@@ -51,8 +51,11 @@ func hookTrace(c *Cache, out *[]hookEvent) {
 
 // TestBatchMatchesScalar is the de-kernel differential: for every store
 // and FSM variant, batched driving must match scalar Access in stats,
-// extras, hook sequence (OnEvict with its written-back hit-last bit,
-// OnExclude, interleaved in order), and final FSM state.
+// extras, final FSM state and last-line register. Each variant runs
+// twice: unhooked, where BatchAccess runs Decode and the AccessBlocks
+// loop, and hooked, where it must also reproduce the hook sequence
+// (OnEvict with its written-back hit-last bit, OnExclude, interleaved
+// in order).
 func TestBatchMatchesScalar(t *testing.T) {
 	mkHashed := func() HitLastStore {
 		s, err := NewHashedStore(64, false)
@@ -93,53 +96,58 @@ func TestBatchMatchesScalar(t *testing.T) {
 				for i := range refs {
 					scalar.Access(refs[i].Addr)
 				}
-
-				var batchHooks []hookEvent
-				batched := Must(v.cfg())
-				hookTrace(batched, &batchHooks)
-				sizes := []int{1, 5, 33, 512, 2048}
-				var sum cache.Stats
-				for pos, i := 0, 0; pos < len(refs); i++ {
-					n := sizes[i%len(sizes)]
-					if pos+n > len(refs) {
-						n = len(refs) - pos
-					}
-					sum.Add(batched.BatchAccess(refs[pos : pos+n]).Stats)
-					pos += n
-				}
-
-				if scalar.Stats() != batched.Stats() {
-					t.Errorf("seed %d: stats scalar %+v != batched %+v", seed, scalar.Stats(), batched.Stats())
-				}
-				if sum != batched.Stats() {
-					t.Errorf("seed %d: delta sum %+v != cumulative %+v", seed, sum, batched.Stats())
-				}
-				if !reflect.DeepEqual(scalar.Extras(), batched.Extras()) {
-					t.Errorf("seed %d: extras scalar %v != batched %v", seed, scalar.Extras(), batched.Extras())
-				}
 				if len(scalarHooks) == 0 {
 					t.Fatalf("seed %d: no hook events; the pin is vacuous", seed)
 				}
-				if !reflect.DeepEqual(scalarHooks, batchHooks) {
-					t.Errorf("seed %d: hook sequences diverged (%d scalar, %d batch events)",
-						seed, len(scalarHooks), len(batchHooks))
-					for i := 0; i < len(scalarHooks) && i < len(batchHooks); i++ {
-						if scalarHooks[i] != batchHooks[i] {
-							t.Errorf("seed %d: first divergence at event %d: scalar %+v, batch %+v",
-								seed, i, scalarHooks[i], batchHooks[i])
-							break
+
+				for _, hooked := range []bool{false, true} {
+					var batchHooks []hookEvent
+					batched := Must(v.cfg())
+					if hooked {
+						hookTrace(batched, &batchHooks)
+					}
+					sizes := []int{1, 5, 33, 512, 2048}
+					var sum cache.Stats
+					for pos, i := 0, 0; pos < len(refs); i++ {
+						n := sizes[i%len(sizes)]
+						if pos+n > len(refs) {
+							n = len(refs) - pos
+						}
+						sum.Add(batched.BatchAccess(refs[pos : pos+n]).Stats)
+						pos += n
+					}
+
+					if scalar.Stats() != batched.Stats() {
+						t.Errorf("seed %d hooked=%v: stats scalar %+v != batched %+v",
+							seed, hooked, scalar.Stats(), batched.Stats())
+					}
+					if sum != batched.Stats() {
+						t.Errorf("seed %d hooked=%v: delta sum %+v != cumulative %+v",
+							seed, hooked, sum, batched.Stats())
+					}
+					if !reflect.DeepEqual(scalar.Extras(), batched.Extras()) {
+						t.Errorf("seed %d hooked=%v: extras scalar %v != batched %v",
+							seed, hooked, scalar.Extras(), batched.Extras())
+					}
+					if hooked && !reflect.DeepEqual(scalarHooks, batchHooks) {
+						t.Errorf("seed %d: hook sequences diverged (%d scalar, %d batch events)",
+							seed, len(scalarHooks), len(batchHooks))
+						for i := 0; i < len(scalarHooks) && i < len(batchHooks); i++ {
+							if scalarHooks[i] != batchHooks[i] {
+								t.Errorf("seed %d: first divergence at event %d: scalar %+v, batch %+v",
+									seed, i, scalarHooks[i], batchHooks[i])
+								break
+							}
 						}
 					}
-				}
-				if !reflect.DeepEqual(scalar.tags, batched.tags) ||
-					!reflect.DeepEqual(scalar.valid, batched.valid) ||
-					!reflect.DeepEqual(scalar.sticky, batched.sticky) ||
-					!reflect.DeepEqual(scalar.flag, batched.flag) {
-					t.Errorf("seed %d: FSM state diverged", seed)
-				}
-				if scalar.lastTag != batched.lastTag || scalar.lastValid != batched.lastValid {
-					t.Errorf("seed %d: last-line register diverged: scalar (%#x,%v) batch (%#x,%v)",
-						seed, scalar.lastTag, scalar.lastValid, batched.lastTag, batched.lastValid)
+					if !reflect.DeepEqual(scalar.tags, batched.tags) ||
+						!reflect.DeepEqual(scalar.state, batched.state) {
+						t.Errorf("seed %d hooked=%v: FSM state diverged", seed, hooked)
+					}
+					if scalar.lastTag != batched.lastTag || scalar.lastValid != batched.lastValid {
+						t.Errorf("seed %d hooked=%v: last-line register diverged: scalar (%#x,%v) batch (%#x,%v)",
+							seed, hooked, scalar.lastTag, scalar.lastValid, batched.lastTag, batched.lastValid)
+					}
 				}
 			}
 		})

@@ -44,6 +44,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/trace"
 )
 
 // HitLastStore remembers hit-last bits for blocks that are not resident in
@@ -99,10 +100,11 @@ type Cache struct {
 	stickyMax uint8
 	lastLine  bool
 
-	tags   []uint64
-	valid  []bool
-	sticky []uint8
-	flag   []bool // per-residency hit flag (the L1 hit-last copy)
+	// A set's FSM state is its tag and one word: the sticky level in
+	// the low byte (stickyBits), then the per-residency hit flag (the L1
+	// hit-last copy) and the valid bit.
+	tags  []uint64
+	state []uint16
 
 	lastTag   uint64
 	lastValid bool
@@ -122,6 +124,12 @@ type Cache struct {
 	// Hierarchies use it to place bypassed lines in L2.
 	OnExclude func(block uint64)
 }
+
+const (
+	stickyBits = 0xff
+	flagBit    = 1 << 8
+	validBit   = 1 << 9
+)
 
 // New returns a dynamic exclusion cache.
 func New(cfg Config) (*Cache, error) {
@@ -148,9 +156,7 @@ func New(cfg Config) (*Cache, error) {
 		stickyMax: uint8(cfg.StickyMax),
 		lastLine:  cfg.UseLastLine,
 		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		sticky:    make([]uint8, n),
-		flag:      make([]bool, n),
+		state:     make([]uint16, n),
 	}, nil
 }
 
@@ -184,27 +190,28 @@ func (c *Cache) Access(addr uint64) cache.Result {
 	}
 
 	set := block & c.setMask
-	if c.valid[set] && c.tags[set] == block {
-		c.sticky[set] = c.stickyMax
-		c.flag[set] = true
+	st := c.state[set]
+	if st&validBit != 0 && c.tags[set] == block {
+		c.state[set] = c.fresh()
 		c.stats.Record(cache.Hit, false)
 		return cache.Hit
 	}
 
-	if !c.valid[set] {
-		c.fill(set, block, true)
+	if st&validBit == 0 {
+		c.tags[set] = block
+		c.state[set] = c.fresh()
 		c.stats.Record(cache.MissFill, false)
 		return cache.MissFill
 	}
 
-	cost := uint8(1)
+	cost := uint16(1)
 	hitLast := c.store.Lookup(block)
 	if hitLast {
 		cost = 2
 	}
-	if c.sticky[set] >= cost {
+	if st&stickyBits >= cost {
 		// The resident defends itself; y is excluded.
-		c.sticky[set] -= cost
+		c.state[set] = st - cost
 		c.stickyDefenses++
 		if c.OnExclude != nil {
 			c.OnExclude(block)
@@ -218,30 +225,143 @@ func (c *Cache) Access(addr uint64) cache.Result {
 	// transition, which "sets the h[z] bit even when instruction z does
 	// not hit"); one that overrode a still-sticky resident via hit-last
 	// starts with the flag clear and must prove itself by hitting.
-	wasSticky := c.sticky[set] > 0
-	if wasSticky {
-		c.hitLastOverrides++
+	c.store.Writeback(c.tags[set], st&flagBit != 0)
+	if c.OnEvict != nil {
+		c.OnEvict(c.tags[set], st&flagBit != 0)
 	}
-	c.evict(set)
-	c.fill(set, block, !wasSticky)
+	c.tags[set] = block
+	c.state[set] = c.fresh()
+	if st&stickyBits != 0 {
+		c.hitLastOverrides++
+		c.state[set] &^= flagBit
+	}
 	c.stats.Record(cache.MissFill, true)
 	return cache.MissFill
 }
 
-// fill installs block in set with the given initial hit flag.
-func (c *Cache) fill(set, block uint64, flag bool) {
-	c.tags[set] = block
-	c.valid[set] = true
-	c.sticky[set] = c.stickyMax
-	c.flag[set] = flag
+// fresh is the state word of a block just filled or hit: valid, at
+// full sticky level, with its hit flag set.
+func (c *Cache) fresh() uint16 { return validBit | flagBit | uint16(c.stickyMax) }
+
+// BatchAccess decodes refs a cache.BlockChunk at a time through the §6
+// register and runs each chunk through AccessBlocks, the
+// dynamic-exclusion batch loop. A cache with an OnEvict or OnExclude
+// hook takes Access once per reference instead, so hook calls come in
+// exactly the order scalar Access makes them.
+//
+//dynexcheck:hot
+func (c *Cache) BatchAccess(refs []trace.Ref) cache.BatchStats {
+	before := c.stats
+	if c.OnEvict != nil || c.OnExclude != nil {
+		for i := range refs {
+			c.Access(refs[i].Addr)
+		}
+		return cache.BatchStats{Stats: c.stats.Sub(before)}
+	}
+	var buf [cache.BlockChunk]uint64
+	for len(refs) > 0 {
+		n := min(len(refs), cache.BlockChunk)
+		c.AccessBlocks(c.Decode(buf[:], refs[:n]))
+		refs = refs[n:]
+	}
+	return cache.BatchStats{Stats: c.stats.Sub(before)}
 }
 
-// evict writes back the resident's hit-last state and notifies OnEvict.
-func (c *Cache) evict(set uint64) {
-	c.store.Writeback(c.tags[set], c.flag[set])
-	if c.OnEvict != nil {
-		c.OnEvict(c.tags[set], c.flag[set])
+// Decode writes the block numbers of refs to dst, which must be at
+// least as long, and returns those AccessBlocks is to run. With the §6
+// register on, a reference to the register's block hits there and is
+// left out; Decode counts those hits itself.
+//
+//dynexcheck:hot
+func (c *Cache) Decode(dst []uint64, refs []trace.Ref) []uint64 {
+	if !c.lastLine {
+		return cache.DecodeBlocks(dst, refs, c.lineShift)
 	}
+	dst = dst[:len(refs)]
+	lineShift := c.lineShift & 63
+	lastTag, lastValid := c.lastTag, c.lastValid
+	n := 0
+	for i := range refs {
+		block := refs[i].Addr >> lineShift
+		if lastValid && lastTag == block {
+			continue
+		}
+		lastTag, lastValid = block, true
+		dst[n] = block
+		n++
+	}
+	c.lastTag, c.lastValid = lastTag, lastValid
+	hits := uint64(len(refs) - n)
+	c.lastLineHits += hits
+	c.stats.Add(cache.Stats{Accesses: hits, Hits: hits})
+	return dst[:n]
+}
+
+// AccessBlocks is the dynamic-exclusion batch loop. It runs decoded
+// block numbers (past the §6 register) through the FSM in order, as
+// Access does, and records them in Stats and the extras once per call.
+// DE has no inclusion: a sticky bypass keeps a block out of a small
+// cache that a larger one admits, so AccessBlocks returns blocks
+// whole, and every member of a size column runs them all. The hooks
+// are not called: BatchAccess sends a hooked cache through Access.
+//
+//dynexcheck:hot
+func (c *Cache) AccessBlocks(blocks []uint64) []uint64 {
+	setMask := c.setMask
+	// Equal lengths let one bounds check per block cover both state
+	// arrays.
+	nsets := setMask + 1
+	tags, state := c.tags[:nsets:nsets], c.state[:nsets:nsets]
+	store := c.store
+	fresh := c.fresh()
+	var hits, defenses, evictions, overrides uint64
+	for _, block := range blocks {
+		set := block & setMask
+		st := state[set]
+		if st&validBit != 0 && tags[set] == block {
+			state[set] = fresh
+			hits++
+			continue
+		}
+		if st&validBit == 0 {
+			tags[set] = block
+			state[set] = fresh
+			continue
+		}
+		cost := uint16(1)
+		if store.Lookup(block) {
+			cost = 2
+		}
+		if st&stickyBits >= cost {
+			state[set] = st - cost
+			defenses++
+			continue
+		}
+		store.Writeback(tags[set], st&flagBit != 0)
+		tags[set] = block
+		if st&stickyBits != 0 {
+			// A block that overrides a sticky resident starts with its
+			// hit flag clear.
+			overrides++
+			state[set] = fresh &^ flagBit
+		} else {
+			state[set] = fresh
+		}
+		evictions++
+	}
+	// Every block hit, was excluded (a defense) or was filled.
+	fills := uint64(len(blocks)) - hits - defenses
+	c.stats.Add(cache.Stats{
+		Accesses:  uint64(len(blocks)),
+		Hits:      hits,
+		Misses:    fills + defenses,
+		Fills:     fills,
+		Bypasses:  defenses,
+		Evictions: evictions,
+	})
+	c.stickyDefenses += defenses
+	c.hitLastOverrides += overrides
+	return blocks
 }
 
 // Contains reports whether addr's block is resident in the cache proper
@@ -249,17 +369,17 @@ func (c *Cache) evict(set uint64) {
 func (c *Cache) Contains(addr uint64) bool {
 	block := addr >> c.lineShift
 	set := block & c.setMask
-	return c.valid[set] && c.tags[set] == block
+	return c.state[set]&validBit != 0 && c.tags[set] == block
 }
 
 // Sticky returns the sticky level of addr's line (0 if not resident).
 func (c *Cache) Sticky(addr uint64) int {
 	block := addr >> c.lineShift
 	set := block & c.setMask
-	if !c.valid[set] || c.tags[set] != block {
+	if c.state[set]&validBit == 0 || c.tags[set] != block {
 		return 0
 	}
-	return int(c.sticky[set])
+	return int(c.state[set] & stickyBits)
 }
 
 // Stats returns the accumulated counters.
@@ -285,11 +405,7 @@ func (c *Cache) Geometry() cache.Geometry { return c.geom }
 // (it models state that outlives residency); reset it separately if the
 // experiment requires a cold store.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.sticky[i] = 0
-		c.flag[i] = false
-	}
+	clear(c.state)
 	c.lastValid = false
 	c.stats = cache.Stats{}
 	c.lastLineHits, c.stickyDefenses, c.hitLastOverrides = 0, 0, 0

@@ -182,10 +182,12 @@ func stepErr(ctx context.Context, deadline time.Time) error {
 
 // cellColumn adapts one ungrouped cell to the Column contract, so the
 // unit runner (runGroup/attemptGroup) runs every cell, in a column or
-// not. A Policy cell drives its own simulator with cache.RunRefs — a
-// single cell keeps its BatchAccess kernel and never becomes a multisim
-// column. A Direct cell (sim == nil) needs the materialized stream up
-// front, so attemptGroup hands it the whole stream in one call.
+// not. A Policy cell drives its own simulator with cache.RunRefs, so a
+// single cell runs its family's batch loop through its own BatchAccess
+// — the loop a multisim column runs for each member — and never
+// becomes a one-member column. A Direct cell (sim == nil) needs the
+// materialized stream up front, so attemptGroup hands it the whole
+// stream in one call.
 type cellColumn struct {
 	cell  *Cell
 	sim   cache.Simulator

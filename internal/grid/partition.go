@@ -9,15 +9,9 @@ import (
 // multisim column units plus a cell-by-cell remainder (DESIGN.md §15).
 // A column is every pending cell sharing one (source, line, policy)
 // triple across the plan's size axis; columns with fewer than two
-// members stay cell-by-cell. For dm, de and lru2 a one-cell column has
-// nothing to share and measures slower than the cell's own batch
-// kernel — per reference at 32 KiB over the ten suite mixed streams,
-// a median 1.08–1.13× for dm, 1.11–1.14× for de and 1.09–1.25× for
-// lru2 at 4 and 16 B lines (go test -bench 'CellKernel|Column'
-// ./internal/policy). fifo2 is the exception: the column's MRA test
-// makes a one-member column about 0.7× the cell kernel (a median 9.2
-// against 12.1 ns/ref at 4 B lines), but lone fifo2 cells stay
-// per-cell too, so the rule is the same for every family. Cells of
+// members stay cell-by-cell. A lone cell has nothing to share: its
+// BatchAccess runs the same batch loop a column member runs, so a
+// one-member column would only add the column's bookkeeping. Cells of
 // column-ineligible policies (policy.Spec.Column decides) and cells
 // skip excludes stay cell-by-cell too (nil skips nothing; Plan.Run
 // passes the skip faultinject.Directive.Apply returns, so

@@ -3,6 +3,7 @@ package multisim
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
@@ -38,11 +39,12 @@ func TestOutcomeOrder(t *testing.T) {
 	for i := range refs {
 		refs[i] = trace.Ref{Addr: uint64(i%1500) * 8}
 	}
-	sorted, err := NewDM(4, []uint64{2048, 4096, 8192})
+	dm := func(g cache.Geometry) (cache.Simulator, error) { return cache.NewDirectMapped(g) }
+	sorted, err := New(4, []uint64{2048, 4096, 8192}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shuffled, err := NewDM(4, []uint64{8192, 2048, 4096})
+	shuffled, err := New(4, []uint64{8192, 2048, 4096}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}

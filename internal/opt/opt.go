@@ -17,7 +17,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
@@ -89,10 +88,8 @@ func MissRateDM(refs []trace.Ref, geom cache.Geometry, useLastLine bool) float64
 }
 
 // shape validates geom and the stream length n, panicking on either,
-// and returns the address math both passes use: block = addr >>
-// lineShift and set = block & setMask. A validated geometry has
-// power-of-two line and set counts, so these equal the divisions of
-// cache.Geometry's Block and Set.
+// and returns the address math both passes use (cache.IndexShifts):
+// block = addr >> lineShift and set = block & setMask.
 func shape(geom cache.Geometry, n int) (lineShift uint, setMask uint64) {
 	if err := geom.Validate(); err != nil {
 		panic("opt: " + err.Error())
@@ -100,7 +97,7 @@ func shape(geom cache.Geometry, n int) (lineShift uint, setMask uint64) {
 	if err := CheckLen(n); err != nil {
 		panic(err.Error())
 	}
-	return uint(bits.TrailingZeros64(geom.LineSize)), geom.Sets() - 1
+	return cache.IndexShifts(geom)
 }
 
 // nextUse is the backward pass: for every position i it returns the
