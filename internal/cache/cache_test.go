@@ -65,24 +65,19 @@ func TestDirectMappedHelpers(t *testing.T) {
 	if c.Contains(0) {
 		t.Error("empty cache should not contain 0")
 	}
-	if evicted := c.Fill(0); evicted {
-		t.Error("fill into empty line reported eviction")
-	}
-	if !c.Contains(0) || !c.Contains(12) {
-		t.Error("fill did not take")
-	}
-	if evicted := c.Fill(0); evicted {
-		t.Error("re-fill of resident block reported eviction")
-	}
-	if evicted := c.Fill(64); !evicted {
-		t.Error("conflicting fill should report eviction")
-	}
-	if c.Stats().Accesses != 0 {
-		t.Error("Fill/Contains must not count accesses")
-	}
 	c.Access(0)
+	if !c.Contains(0) || !c.Contains(12) {
+		t.Error("access did not fill")
+	}
+	c.Access(64)
+	if c.Contains(0) || !c.Contains(64) {
+		t.Error("conflicting access did not replace the resident")
+	}
+	if c.Stats().Accesses != 2 {
+		t.Error("Contains must not count accesses")
+	}
 	c.Reset()
-	if c.Stats().Accesses != 0 || c.Contains(0) {
+	if c.Stats().Accesses != 0 || c.Contains(64) {
 		t.Error("Reset did not clear")
 	}
 }
@@ -92,8 +87,8 @@ func TestDirectMappedOnEvict(t *testing.T) {
 	var evicted []uint64
 	c.OnEvict = func(block uint64) { evicted = append(evicted, block) }
 	c.Access(0)
-	c.Access(64) // evicts block 0
-	c.Fill(128)  // evicts block 4 (=64/16)
+	c.Access(64)  // evicts block 0
+	c.Access(128) // evicts block 4 (=64/16)
 	if len(evicted) != 2 || evicted[0] != 0 || evicted[1] != 4 {
 		t.Errorf("evicted = %v", evicted)
 	}
@@ -181,16 +176,16 @@ func TestSetAssocFullyAssociativeLRU(t *testing.T) {
 
 func TestSetAssocHelpers(t *testing.T) {
 	c := MustSetAssoc(Geometry{Size: 64, LineSize: 16, Ways: 2}, LRU, 1)
-	if evicted := c.Fill(0); evicted {
-		t.Error("fill into empty set reported eviction")
-	}
-	if !c.Contains(0) {
-		t.Error("fill did not take")
-	}
-	if c.Fill(0) {
-		t.Error("duplicate fill reported eviction")
+	if c.Contains(0) {
+		t.Error("empty cache should not contain 0")
 	}
 	c.Access(0)
+	if !c.Contains(0) {
+		t.Error("access did not fill")
+	}
+	if c.Stats().Accesses != 1 {
+		t.Error("Contains must not count accesses")
+	}
 	c.Reset()
 	if c.Contains(0) || c.Stats().Accesses != 0 {
 		t.Error("reset incomplete")

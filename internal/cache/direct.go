@@ -18,8 +18,8 @@ type DirectMapped struct {
 	stats     Stats
 
 	// OnEvict, if non-nil, is called with the block number of each valid
-	// block displaced by a fill. Hierarchies use it to spill evictions to
-	// the next level.
+	// block displaced by a fill. The write-policy wrapper uses it to
+	// write dirty lines back.
 	OnEvict func(block uint64)
 }
 
@@ -126,24 +126,6 @@ func (c *DirectMapped) Contains(addr uint64) bool {
 	tag := addr >> c.lineShift
 	set := tag & c.setMask
 	return c.valid[set] && c.tags[set] == tag
-}
-
-// Fill inserts addr's block without counting an access (used by
-// hierarchies to model spills from an upper level). It reports whether a
-// valid block was displaced.
-func (c *DirectMapped) Fill(addr uint64) bool {
-	tag := addr >> c.lineShift
-	set := tag & c.setMask
-	if c.valid[set] && c.tags[set] == tag {
-		return false
-	}
-	evicted := c.valid[set]
-	if evicted && c.OnEvict != nil {
-		c.OnEvict(c.tags[set])
-	}
-	c.tags[set] = tag
-	c.valid[set] = true
-	return evicted
 }
 
 // Stats returns the accumulated counters.

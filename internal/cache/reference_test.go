@@ -103,21 +103,8 @@ func (c *refSetAssoc) Contains(addr uint64) bool {
 	return false
 }
 
-func (c *refSetAssoc) Fill(addr uint64) bool {
-	c.clock++
-	set := c.sets[c.geom.Set(addr)]
-	tag := c.geom.Tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return false
-		}
-	}
-	return c.fill(set, tag)
-}
-
 // TestSetAssocMatchesReference drives SetAssoc and the reference model
-// through the same random mix of Access, BatchAccess, Fill and Contains
-// calls, for every policy (RandomRepl with one seed on both sides), at
+// through the same random mix of Access, BatchAccess and Contains calls, for every policy (RandomRepl with one seed on both sides), at
 // 1, 2, 4 and 8 ways and fully associative, with and without an OnEvict
 // hook. Every return value, the cumulative Stats after each call, and
 // the OnEvict sequence must be identical.
@@ -161,12 +148,12 @@ func diffSetAssoc(t *testing.T, geom Geometry, pol Policy, hooked bool, seed int
 	}
 	for step := 0; step < 4000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 5:
+		case op < 6:
 			a := addr()
 			if g, w := got.Access(a), want.Access(a); g != w {
 				t.Fatalf("seed %d step %d: Access(%#x) = %v, reference %v", seed, step, a, g, w)
 			}
-		case op < 7:
+		case op < 8:
 			refs := make([]trace.Ref, rng.Intn(40))
 			for i := range refs {
 				refs[i] = trace.Ref{Addr: addr(), Kind: trace.Load}
@@ -177,11 +164,6 @@ func diffSetAssoc(t *testing.T, geom Geometry, pol Policy, hooked bool, seed int
 			}
 			if d, wd := got.BatchAccess(refs).Stats, want.stats.Sub(before); d != wd {
 				t.Fatalf("seed %d step %d: BatchAccess delta %+v, reference %+v", seed, step, d, wd)
-			}
-		case op < 8:
-			a := addr()
-			if g, w := got.Fill(a), want.Fill(a); g != w {
-				t.Fatalf("seed %d step %d: Fill(%#x) = %v, reference %v", seed, step, a, g, w)
 			}
 		default:
 			a := addr()

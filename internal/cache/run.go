@@ -17,7 +17,7 @@ const BatchChunk = 1 << 14
 // Simulators with a BatchAccess fast path are driven in BatchChunk
 // batches; the stats are identical either way (see BatchSimulator).
 //
-// Partial-count semantics, matching trace.Collect and trace.Drive: on a
+// Partial-count semantics, matching trace.Collect: on a
 // reader error, the returned n is the number of references that were
 // delivered to sim before the error — sim's Stats describe exactly those
 // n accesses, so a caller can still report the valid prefix of a corrupt

@@ -59,9 +59,9 @@ type SetAssoc struct {
 	// through [ways, 2*ways): its next fill evicts way wave-ways. (2*ways
 	// fits: a set of 2^31 ways would need 16 GiB of tags.)
 	wave []uint32
-	// mra[s] is, for FIFO, the block set s last took (by Access, Fill
-	// or the batch loop), resident whenever wave[s] > 0. Other policies
-	// leave it nil.
+	// mra[s] is, for FIFO, the block set s last took (by Access or the
+	// batch loop), resident whenever wave[s] > 0. Other policies leave
+	// it nil.
 	mra   []uint64
 	rng   *rand.Rand // RandomRepl only
 	stats Stats
@@ -202,18 +202,6 @@ func (c *SetAssoc) Contains(addr uint64) bool {
 	block := addr >> c.lineShift
 	_, ok := c.find(block&c.setMask, block)
 	return ok
-}
-
-// Fill inserts addr's block without counting an access, reporting whether
-// a valid block was displaced. A resident block is left where it is (an
-// LRU Fill does not count as a use).
-func (c *SetAssoc) Fill(addr uint64) bool {
-	block := addr >> c.lineShift
-	set := block & c.setMask
-	if _, ok := c.find(set, block); ok {
-		return false
-	}
-	return c.fill(set, block)
 }
 
 // Decode writes the block numbers of refs to dst, which must be at

@@ -32,20 +32,16 @@ func batchRefs(seed int64, n int) []trace.Ref {
 	return refs
 }
 
-// hookEvent is one OnEvict or OnExclude invocation, in order.
+// hookEvent is one OnEvict invocation.
 type hookEvent struct {
-	evict   bool
 	block   uint64
 	hitLast bool
 }
 
-// hookTrace records every hook invocation on c, in sequence.
+// hookTrace records every OnEvict invocation on c, in sequence.
 func hookTrace(c *Cache, out *[]hookEvent) {
 	c.OnEvict = func(block uint64, hitLast bool) {
-		*out = append(*out, hookEvent{evict: true, block: block, hitLast: hitLast})
-	}
-	c.OnExclude = func(block uint64) {
-		*out = append(*out, hookEvent{block: block})
+		*out = append(*out, hookEvent{block: block, hitLast: hitLast})
 	}
 }
 
@@ -53,9 +49,8 @@ func hookTrace(c *Cache, out *[]hookEvent) {
 // and FSM variant, batched driving must match scalar Access in stats,
 // extras, final FSM state and last-line register. Each variant runs
 // twice: unhooked, where BatchAccess runs Decode and the AccessBlocks
-// loop, and hooked, where it must also reproduce the hook sequence
-// (OnEvict with its written-back hit-last bit, OnExclude, interleaved
-// in order).
+// loop, and hooked, where it must also reproduce the OnEvict sequence,
+// each eviction with its written-back hit-last bit, in order.
 func TestBatchMatchesScalar(t *testing.T) {
 	mkHashed := func() HitLastStore {
 		s, err := NewHashedStore(64, false)

@@ -120,9 +120,6 @@ type Cache struct {
 	// back hit-last bit. Hierarchies use it to spill L1 victims (and
 	// their state) into L2.
 	OnEvict func(block uint64, hitLast bool)
-	// OnExclude, if non-nil, receives every excluded (bypassed) block.
-	// Hierarchies use it to place bypassed lines in L2.
-	OnExclude func(block uint64)
 }
 
 const (
@@ -213,9 +210,6 @@ func (c *Cache) Access(addr uint64) cache.Result {
 		// The resident defends itself; y is excluded.
 		c.state[set] = st - cost
 		c.stickyDefenses++
-		if c.OnExclude != nil {
-			c.OnExclude(block)
-		}
 		c.stats.Record(cache.MissBypass, false)
 		return cache.MissBypass
 	}
@@ -245,14 +239,14 @@ func (c *Cache) fresh() uint16 { return validBit | flagBit | uint16(c.stickyMax)
 
 // BatchAccess decodes refs a cache.BlockChunk at a time through the §6
 // register and runs each chunk through AccessBlocks, the
-// dynamic-exclusion batch loop. A cache with an OnEvict or OnExclude
-// hook takes Access once per reference instead, so hook calls come in
-// exactly the order scalar Access makes them.
+// dynamic-exclusion batch loop. A cache with an OnEvict hook takes
+// Access once per reference instead, so hook calls come in exactly the
+// order scalar Access makes them.
 //
 //dynexcheck:hot
 func (c *Cache) BatchAccess(refs []trace.Ref) cache.BatchStats {
 	before := c.stats
-	if c.OnEvict != nil || c.OnExclude != nil {
+	if c.OnEvict != nil {
 		for i := range refs {
 			c.Access(refs[i].Addr)
 		}

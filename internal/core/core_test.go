@@ -236,15 +236,14 @@ func TestOverrideEntrantMustProveItself(t *testing.T) {
 func TestCallbacks(t *testing.T) {
 	store := NewTableStore(false)
 	c := Must(Config{Geometry: cache.DM(64, 4), Store: store})
-	var evicted, excluded []uint64
+	var evicted []uint64
 	c.OnEvict = func(b uint64, h bool) { evicted = append(evicted, b) }
-	c.OnExclude = func(b uint64) { excluded = append(excluded, b) }
 	c.Access(0)
-	c.Access(64) // exclude block 16
-	c.Access(64) // replace block 0
-	if len(excluded) != 1 || excluded[0] != 16 {
-		t.Errorf("excluded = %v, want [16]", excluded)
+	c.Access(64) // exclude block 16: no eviction
+	if len(evicted) != 0 {
+		t.Errorf("evicted = %v after an exclusion, want none", evicted)
 	}
+	c.Access(64) // replace block 0
 	if len(evicted) != 1 || evicted[0] != 0 {
 		t.Errorf("evicted = %v, want [0]", evicted)
 	}

@@ -7,9 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/patterns"
-	"repro/internal/policy"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // AblationsResult bundles the design-choice studies DESIGN.md calls out:
@@ -26,7 +24,12 @@ type AblationsResult struct {
 // ablGeom is the conflict-heavy operating point used by the ablations.
 var ablGeom = cache.DM(8<<10, 4)
 
-// Ablations runs all ablation studies.
+// ablSizes and ablLines are ablGeom as a one-cell grid axis.
+var ablSizes, ablLines = []uint64{ablGeom.Size}, []uint64{ablGeom.LineSize}
+
+// Ablations runs all ablation studies. Configurations are policy specs,
+// so the tables read as the exact strings a -policies flag would take,
+// and each table runs one grid per stream set.
 func Ablations(w *Workloads) AblationsResult {
 	return AblationsResult{
 		Sticky:    ablateSticky(w),
@@ -37,32 +40,23 @@ func Ablations(w *Workloads) AblationsResult {
 	}
 }
 
-// suiteAvg runs a fresh simulator per benchmark (concurrently) and
-// averages miss rates. Configurations are policy specs, so the ablation
-// tables read as the exact strings a -policies flag would take.
-func suiteAvg(w *Workloads, kind kindOf, specStr string, geom cache.Geometry) float64 {
-	sp := policy.MustParse(specStr)
-	rates := suiteRates(w, kind, func(refs []trace.Ref) float64 {
-		return specRate(sp, refs, geom)
-	})
-	return metrics.Mean(rates)
-}
-
 // ablateSticky sweeps the multi-sticky extension [McF91a]: deeper sticky
 // counters lock residents against (abc)-style conflicts at the cost of
 // longer training on plain alternation.
 func ablateSticky(w *Workloads) *table.Table {
 	t := table.New("Ablation — sticky depth (S=8KB, b=4B; plus the (abc)^50 pattern)",
 		"config", "suite avg miss", "(abc)^50 miss")
-	three := patterns.ThreeWay(50).Refs(0, ablGeom.Size)
-	for _, k := range []int{1, 2, 4, 8} {
-		specStr := fmt.Sprintf("de:sticky=%d", k)
-		avg := suiteAvg(w, instrKind, specStr, ablGeom)
-		pat := specRate(policy.MustParse(specStr), three, ablGeom)
-		t.AddRow(fmt.Sprintf("sticky=%d", k), metrics.Pct(avg, 3), metrics.Pct(pat, 1))
+	depths := []string{"sticky=1", "sticky=2", "sticky=4", "sticky=8"}
+	var pols []string
+	for _, d := range depths {
+		pols = append(pols, "de:"+d)
 	}
-	dm := suiteAvg(w, instrKind, "dm", ablGeom)
-	t.AddRow("direct-mapped", metrics.Pct(dm, 3), "100.0%")
+	avg := suiteMeans(w, instrKind, ablSizes, ablLines, append(pols, "dm")...)
+	pat := runGrid(w.cfg, patternSources(ablGeom.Size, patterns.ThreeWay(50)), ablSizes, ablLines, pols...)
+	for i, d := range depths {
+		t.AddRow(d, metrics.Pct(avg[i], 3), metrics.Pct(pat[i], 1))
+	}
+	t.AddRow("direct-mapped", metrics.Pct(avg[len(depths)], 3), "100.0%")
 	t.AddNote("paper §4: extra sticky bits fix (abc)^N but give mixed results overall")
 	return t
 }
@@ -72,12 +66,16 @@ func ablateSticky(w *Workloads) *table.Table {
 func ablateHashed(w *Workloads) *table.Table {
 	t := table.New("Ablation — hashed hit-last bits per cache line (S=8KB, b=4B)",
 		"store", "suite avg miss")
-	for _, bitsPerLine := range []int{1, 2, 4, 8, 16} {
-		avg := suiteAvg(w, instrKind, fmt.Sprintf("de:store=hashed*%d", bitsPerLine), ablGeom)
-		t.AddRow(fmt.Sprintf("hashed %d bits/line", bitsPerLine), metrics.Pct(avg, 3))
+	bitsPerLine := []int{1, 2, 4, 8, 16}
+	var pols []string
+	for _, b := range bitsPerLine {
+		pols = append(pols, fmt.Sprintf("de:store=hashed*%d", b))
 	}
-	ideal := suiteAvg(w, instrKind, "de", ablGeom)
-	t.AddRow("ideal table", metrics.Pct(ideal, 3))
+	avg := suiteMeans(w, instrKind, ablSizes, ablLines, append(pols, "de")...)
+	for i, b := range bitsPerLine {
+		t.AddRow(fmt.Sprintf("hashed %d bits/line", b), metrics.Pct(avg[i], 3))
+	}
+	t.AddRow("ideal table", metrics.Pct(avg[len(bitsPerLine)], 3))
 	return t
 }
 
@@ -86,12 +84,10 @@ func ablateHashed(w *Workloads) *table.Table {
 func ablateColdStart(w *Workloads) *table.Table {
 	t := table.New("Ablation — cold-start default of the hit-last table (b=4B)",
 		"cache size", "assume-miss", "assume-hit", "direct-mapped")
-	for _, size := range []uint64{8 << 10, 32 << 10} {
-		geom := cache.DM(size, 4)
-		miss := suiteAvg(w, instrKind, "de:cold=miss", geom)
-		hit := suiteAvg(w, instrKind, "de", geom)
-		dm := suiteAvg(w, instrKind, "dm", geom)
-		t.AddRow(kbLabel(float64(size)/1024), metrics.Pct(miss, 3), metrics.Pct(hit, 3), metrics.Pct(dm, 3))
+	sizes := []uint64{8 << 10, 32 << 10}
+	avg := suiteMeans(w, instrKind, sizes, []uint64{4}, "de:cold=miss", "de", "dm")
+	for i, size := range sizes {
+		t.AddRow(kbLabel(float64(size)/1024), metrics.Pct(avg[3*i], 3), metrics.Pct(avg[3*i+1], 3), metrics.Pct(avg[3*i+2], 3))
 	}
 	t.AddNote("assume-miss can double first-touch misses of fresh loops (the paper's nasa7/tomcatv effect)")
 	return t
@@ -107,11 +103,8 @@ func ablateVictim(w *Workloads) *table.Table {
 		name string
 		get  kindOf
 	}{{"instructions", instrKind}, {"data", dataKind}} {
-		dm := suiteAvg(w, kind.get, "dm", ablGeom)
-		v4 := suiteAvg(w, kind.get, "victim", ablGeom)
-		v8 := suiteAvg(w, kind.get, "victim:entries=8", ablGeom)
-		de := suiteAvg(w, kind.get, "de", ablGeom)
-		t.AddRow(kind.name, metrics.Pct(dm, 3), metrics.Pct(v4, 3), metrics.Pct(v8, 3), metrics.Pct(de, 3))
+		avg := suiteMeans(w, kind.get, ablSizes, ablLines, "dm", "victim", "victim:entries=8", "de")
+		t.AddRow(kind.name, metrics.Pct(avg[0], 3), metrics.Pct(avg[1], 3), metrics.Pct(avg[2], 3), metrics.Pct(avg[3], 3))
 	}
 	return t
 }
@@ -120,19 +113,14 @@ func ablateVictim(w *Workloads) *table.Table {
 // line size: no buffer, the last-line register (options 1/2), and the
 // stream buffer (option 3).
 func ablateLastLine(w *Workloads) *table.Table {
-	geom := cache.DM(32<<10, 16)
 	t := table.New("Ablation — §6 line-buffer alternatives at b=16B (S=32KB)",
 		"config", "suite avg miss")
 	// At 16-byte lines the bare "de" spec auto-enables the buffer, so the
 	// no-buffer arm must say nolastline explicitly.
-	with := suiteAvg(w, instrKind, "de:lastline", geom)
-	without := suiteAvg(w, instrKind, "de:nolastline", geom)
-	streamed := suiteAvg(w, instrKind, "de-stream", geom)
-	dm := suiteAvg(w, instrKind, "dm", geom)
-	t.AddRow("DE without buffer", metrics.Pct(without, 3))
-	t.AddRow("DE + last-line register", metrics.Pct(with, 3))
-	t.AddRow("DE + stream buffer (depth 4)", metrics.Pct(streamed, 3))
-	t.AddRow("direct-mapped", metrics.Pct(dm, 3))
+	avg := suiteMeans(w, instrKind, []uint64{32 << 10}, []uint64{16}, "de:nolastline", "de:lastline", "de-stream", "dm")
+	for i, config := range []string{"DE without buffer", "DE + last-line register", "DE + stream buffer (depth 4)", "direct-mapped"} {
+		t.AddRow(config, metrics.Pct(avg[i], 3))
+	}
 	t.AddNote("without a buffer, excluding a multi-instruction line re-misses every sequential fetch (§6);")
 	t.AddNote("the stream buffer additionally hides sequential compulsory misses (its hits are not L2 fetches)")
 	return t

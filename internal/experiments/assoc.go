@@ -3,11 +3,8 @@ package experiments
 import (
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // AssocResult is the extra motivation study (§1 of the paper):
@@ -22,28 +19,10 @@ type AssocResult struct {
 // Assoc runs the associativity comparison over the standard size axis at
 // 4-byte lines.
 func Assoc(w *Workloads) AssocResult {
-	lru2, lru4 := policy.MustParse("lru:ways=2"), policy.MustParse("lru:ways=4")
-	var res AssocResult
-	res.DM.Name, res.DE.Name = "direct-mapped", "dynamic exclusion"
-	res.LRU2.Name, res.LRU4.Name = "2-way LRU", "4-way LRU"
-	for _, size := range standardSizes() {
-		n := len(w.Names())
-		dms, des := make([]float64, n), make([]float64, n)
-		l2s, l4s := make([]float64, n), make([]float64, n)
-		forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-			geom := cache.DM(size, 4)
-			dms[i] = dmRate(refs, geom)
-			des[i] = deRate(refs, geom, false)
-			l2s[i] = specRate(lru2, refs, geom)
-			l4s[i] = specRate(lru4, refs, geom)
-		})
-		x := float64(size) / 1024
-		res.DM.Points = append(res.DM.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(dms)})
-		res.DE.Points = append(res.DE.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(des)})
-		res.LRU2.Points = append(res.LRU2.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(l2s)})
-		res.LRU4.Points = append(res.LRU4.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(l4s)})
-	}
-	return res
+	sizes := standardSizes()
+	avg := suiteMeans(w, instrKind, sizes, []uint64{4}, "dm", "de:nolastline", "lru:ways=2", "lru:ways=4")
+	c := curves(avg, kb(sizes), "direct-mapped", "dynamic exclusion", "2-way LRU", "4-way LRU")
+	return AssocResult{DM: c[0], DE: c[1], LRU2: c[2], LRU4: c[3]}
 }
 
 // GapClosed returns, at each size, the fraction (percent) of the

@@ -14,11 +14,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/metrics"
-	"repro/internal/policy"
+	"repro/internal/patterns"
 	"repro/internal/spec"
 	"repro/internal/trace"
 )
@@ -186,40 +185,22 @@ func (w *Workloads) Release() {
 	w.mu.Unlock()
 }
 
-// The three simulated policies of the single-level figures. "Dynamic
-// exclusion" throughout the single-level experiments means the idealized
-// configuration of Figures 3–5: an unbounded hit-last table with assume-
-// hit cold start (§5 shows assume-hit is the best realizable default).
-
-// specRate builds the spec's simulator for geom and returns its
-// full-stream miss rate. Experiments panic on build errors: every spec
-// here is a literal, so a failure is a programming error.
-func specRate(sp policy.Spec, refs []trace.Ref, geom cache.Geometry) float64 {
-	sim, err := sp.Build(geom)
-	if err != nil {
-		panic("experiments: " + err.Error())
+// figurePolicies are the three policies of the single-level figures:
+// direct-mapped, dynamic exclusion and the optimal direct-mapped cache,
+// the latter two with the §6 last-line buffer on or off. "Dynamic
+// exclusion" throughout the single-level experiments means the
+// idealized configuration of Figures 3–5: an unbounded hit-last table
+// with assume-hit cold start (§5 shows assume-hit is the best
+// realizable default).
+func figurePolicies(lastLine bool) []string {
+	if lastLine {
+		return []string{"dm", "de:lastline", "opt:lastline"}
 	}
-	m, err := policy.Window(sim, refs, 0)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return m.Stats.MissRate()
+	return []string{"dm", "de:nolastline", "opt:nolastline"}
 }
 
-// dmRate runs a conventional direct-mapped cache.
-func dmRate(refs []trace.Ref, geom cache.Geometry) float64 {
-	return specRate(policy.MustParse("dm"), refs, geom)
-}
-
-// deRate runs dynamic exclusion (ideal table, assume-hit default).
-func deRate(refs []trace.Ref, geom cache.Geometry, lastLine bool) float64 {
-	return specRate(policy.MustParse("de").WithLastLine(lastLine), refs, geom)
-}
-
-// optRate runs the optimal direct-mapped cache with bypass.
-func optRate(refs []trace.Ref, geom cache.Geometry, lastLine bool) float64 {
-	return specRate(policy.MustParse("opt").WithLastLine(lastLine), refs, geom)
-}
+// figureCurves names the figure policies' curves, in the same order.
+var figureCurves = []string{"direct-mapped", "dynamic exclusion", "optimal direct-mapped"}
 
 // kindOf selects a stream from the workload cache.
 type kindOf func(w *Workloads, name string) []trace.Ref
@@ -228,11 +209,112 @@ func instrKind(w *Workloads, name string) []trace.Ref { return w.Instr(name) }
 func dataKind(w *Workloads, name string) []trace.Ref  { return w.Data(name) }
 func mixedKind(w *Workloads, name string) []trace.Ref { return w.Mixed(name) }
 
+// sources returns the suite's streams of one kind as grid sources, in
+// suite order. The workload cache is goroutine-safe, so the engine's
+// workers materialize them in parallel.
+func (w *Workloads) sources(kind kindOf) []grid.Source {
+	names := w.Names()
+	out := make([]grid.Source, len(names))
+	for i, name := range names {
+		out[i] = grid.Source{Name: name, Stream: func() ([]trace.Ref, error) { return kind(w, name), nil }}
+	}
+	return out
+}
+
+// patternSources expands §3 conflict patterns for a direct-mapped cache
+// of size bytes into grid sources.
+func patternSources(size uint64, specs ...patterns.Spec) []grid.Source {
+	out := make([]grid.Source, len(specs))
+	for i, sp := range specs {
+		refs := sp.Refs(0, size)
+		out[i] = grid.Source{Name: sp.Name, Stream: func() ([]trace.Ref, error) { return refs, nil }}
+	}
+	return out
+}
+
+// runGrid runs the (source × size × line × policy) grid as one
+// grid.Plan.Run with no journal, on cfg's context, workers and
+// collector, and returns every cell's miss rate in grid order:
+// source-major, then size, line and policy. It is the package's one way
+// to simulate a registry policy: cells of different sizes run
+// concurrently, each (source, line, policy) size column runs as one
+// multisim pass where the policy has one (DESIGN.md §15), and the
+// collector sees one cell per simulation. A cancelled run panics with an
+// error wrapping the context error, which the CLI's recover reports as
+// an interrupt; every policy here is a literal, so any other error is a
+// programming error and panics too.
+func runGrid(cfg Config, sources []grid.Source, sizes, lines []uint64, pols ...string) []float64 {
+	plan, err := grid.Spec{Sources: sources, Sizes: sizes, Lines: lines, Policies: pols}.Build()
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	results, pending := plan.Restore(nil, nil) // no journal: every cell runs
+	if err := plan.Run(cfg.ctx(), results, pending, grid.RunOptions{Engine: engine.Options{
+		Workers:   cfg.workers(),
+		Collector: cfg.Collector,
+	}}); err != nil {
+		panic(fmt.Errorf("experiments: %w", err))
+	}
+	rates := make([]float64, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			panic(fmt.Errorf("experiments: %s: %w", r.Label, r.Err))
+		}
+		rates[i] = r.Stats.MissRate()
+	}
+	return rates
+}
+
+// means averages runGrid rates over their n sources: means[k] is the
+// mean of the k-th (size, line, policy) cell across the sources, taken
+// in source order.
+func means(rates []float64, n int) []float64 {
+	per := len(rates) / n
+	out := make([]float64, per)
+	col := make([]float64, n)
+	for k := range out {
+		for s := range col {
+			col[s] = rates[s*per+k]
+		}
+		out[k] = metrics.Mean(col)
+	}
+	return out
+}
+
+// suiteMeans runs the grid over the suite's streams of one kind and
+// returns each (size, line, policy) cell's suite-average miss rate.
+func suiteMeans(w *Workloads, kind kindOf, sizes, lines []uint64, pols ...string) []float64 {
+	return means(runGrid(w.cfg, w.sources(kind), sizes, lines, pols...), len(w.suite))
+}
+
+// curves splits suite means laid out point-major over len(names)
+// policies into one curve per policy, in percent, at the points xs.
+func curves(avg, xs []float64, names ...string) []metrics.Series {
+	out := make([]metrics.Series, len(names))
+	for p, name := range names {
+		out[p].Name = name
+		for i, x := range xs {
+			out[p].Points = append(out[p].Points, metrics.Point{X: x, Y: 100 * avg[i*len(names)+p]})
+		}
+	}
+	return out
+}
+
+// kb returns cache sizes as a kilobyte axis.
+func kb(sizes []uint64) []float64 {
+	xs := make([]float64, len(sizes))
+	for i, size := range sizes {
+		xs[i] = float64(size) / 1024
+	}
+	return xs
+}
+
 // forEachBenchmark runs f for every benchmark across the engine's bounded
-// worker pool (simulations over different benchmarks are independent).
-// Streams materialize lazily inside the workers — the workload cache is
-// goroutine-safe — so generation itself is parallel. f receives the suite
-// index so callers write into pre-sized slices.
+// worker pool, for the simulators the policy registry does not build
+// (the §5 hierarchy, the write-policy wrappers and profile-trained static
+// exclusion). Streams materialize lazily inside the workers, so
+// generation itself is parallel. f receives the suite index so callers
+// write into pre-sized slices.
 func forEachBenchmark(w *Workloads, kind kindOf, f func(i int, refs []trace.Ref)) {
 	names := w.Names()
 	engine.ForEach(w.cfg.ctx(), len(names), w.cfg.workers(), func(i int) {
@@ -257,73 +339,15 @@ func forEachBenchmark(w *Workloads, kind kindOf, f func(i int, refs []trace.Ref)
 	})
 }
 
-// suiteRates runs one rate function per benchmark concurrently and
-// returns the per-benchmark results in suite order.
-func suiteRates(w *Workloads, kind kindOf, rate func(refs []trace.Ref) float64) []float64 {
-	out := make([]float64, len(w.Names()))
-	forEachBenchmark(w, kind, func(i int, refs []trace.Ref) {
-		out[i] = rate(refs)
-	})
-	return out
-}
-
 // sweepAverages computes suite-average miss-rate curves for the three
-// policies over the given cache sizes at one line size. The paper's
-// Figures 4, 11, 12, 14, and 15 are all instances of this sweep. The
-// whole benchmark × size × policy grid is one grid.Plan.Run with no
-// journal, so cells from different sizes execute concurrently, and
-// each (benchmark, policy) size column runs as one multisim kernel pass
-// where the policy has one (dm and de here; opt needs the whole stream
-// before its first decision and stays per-cell).
-// The engine's deterministic result order makes the aggregation
-// independent of scheduling.
+// figure policies over the given cache sizes at one line size: Figures
+// 4, 5, 12, 14 and 15 are all instances of this sweep, and it is a view
+// of one runGrid, whose deterministic result order makes the
+// aggregation independent of scheduling.
 func sweepAverages(w *Workloads, kind kindOf, sizes []uint64, lineSize uint64, lastLine bool) (dm, de, op metrics.Series) {
-	dm.Name, de.Name, op.Name = "direct-mapped", "dynamic exclusion", "optimal direct-mapped"
-	names := w.Names()
-	sources := make([]grid.Source, len(names))
-	for i, name := range names {
-		sources[i] = grid.Source{Name: name, Stream: func() ([]trace.Ref, error) { return kind(w, name), nil }}
-	}
-	// The policies in series order: dm, de, opt.
-	pols := []string{
-		"dm",
-		policy.MustParse("de").WithLastLine(lastLine).String(),
-		policy.MustParse("opt").WithLastLine(lastLine).String(),
-	}
-	plan, err := grid.Spec{Sources: sources, Sizes: sizes, Lines: []uint64{lineSize}, Policies: pols}.Build()
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	results, pending := plan.Restore(nil, nil) // no journal: every cell runs
-	if err := plan.Run(w.cfg.ctx(), results, pending, grid.RunOptions{Engine: engine.Options{
-		Workers:   w.cfg.workers(),
-		Collector: w.cfg.Collector,
-	}}); err != nil {
-		// An error here is the caller's cancellation; panic with an error
-		// value wrapping it so the CLI's recover can errors.Is it.
-		panic(fmt.Errorf("experiments: %w", err))
-	}
-
-	// Results are laid out benchmark-major, then size, then policy.
-	n := len(names)
-	for si, size := range sizes {
-		dms, des, ops := make([]float64, n), make([]float64, n), make([]float64, n)
-		for bi := 0; bi < n; bi++ {
-			base := (bi*len(sizes) + si) * len(pols)
-			for p, rates := range [][]float64{dms, des, ops} {
-				r := results[base+p]
-				if r.Err != nil {
-					panic(fmt.Errorf("experiments: %s: %w", r.Label, r.Err))
-				}
-				rates[bi] = r.Stats.MissRate()
-			}
-		}
-		x := float64(size) / 1024
-		dm.Points = append(dm.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(dms)})
-		de.Points = append(de.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(des)})
-		op.Points = append(op.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(ops)})
-	}
-	return dm, de, op
+	avg := suiteMeans(w, kind, sizes, []uint64{lineSize}, figurePolicies(lastLine)...)
+	c := curves(avg, kb(sizes), figureCurves...)
+	return c[0], c[1], c[2]
 }
 
 // Runner is one registered experiment.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
@@ -193,6 +194,40 @@ func TestFig03Shape(t *testing.T) {
 	}
 	if !strings.Contains(r.String(), "AVERAGE") {
 		t.Error("render missing AVERAGE row")
+	}
+}
+
+// countingCollector tallies finished cells and the references they
+// simulated.
+type countingCollector struct {
+	mu    sync.Mutex
+	cells int
+	refs  uint64
+}
+
+func (c *countingCollector) CellStarted(engine.CellStart)     {}
+func (c *countingCollector) CellAttempted(engine.CellAttempt) {}
+func (c *countingCollector) CellFinished(f engine.CellFinish) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cells++
+	c.refs += f.Refs
+}
+
+// TestFig03ReportsEverySimulation checks that every registry-policy
+// simulation reaches the Collector as a cell of its own: Figure 3 runs
+// dm, de and opt over each of the ten benchmarks, so the collector must
+// see 30 finished cells of one full stream each, not one cell per
+// benchmark.
+func TestFig03ReportsEverySimulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment simulations")
+	}
+	const refs = 5_000
+	col := &countingCollector{}
+	Fig03(NewWorkloads(Config{Refs: refs, Collector: col}))
+	if col.cells != 30 || col.refs != 30*refs {
+		t.Errorf("collector saw %d cells, %d refs; want 30 cells, %d refs", col.cells, col.refs, 30*refs)
 	}
 }
 

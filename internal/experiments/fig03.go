@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // Fig03Geom is the paper's Figure 3 configuration: a 32KB instruction
@@ -31,26 +30,14 @@ type Fig03Row struct {
 // for a normal direct-mapped cache, dynamic exclusion, and an optimal
 // direct-mapped cache.
 func Fig03(w *Workloads) Fig03Result {
-	names := w.Names()
-	rows := make([]Fig03Row, len(names))
-	forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-		rows[i] = Fig03Row{
-			Name: names[i],
-			DM:   dmRate(refs, Fig03Geom),
-			DE:   deRate(refs, Fig03Geom, false),
-			OP:   optRate(refs, Fig03Geom, false),
-		}
-	})
-	res := Fig03Result{Rows: rows}
-	var dms, des, ops []float64
-	for _, row := range rows {
-		dms = append(dms, row.DM)
-		des = append(des, row.DE)
-		ops = append(ops, row.OP)
+	rates := runGrid(w.cfg, w.sources(instrKind), []uint64{Fig03Geom.Size}, []uint64{Fig03Geom.LineSize},
+		figurePolicies(false)...)
+	var res Fig03Result
+	for i, name := range w.Names() {
+		res.Rows = append(res.Rows, Fig03Row{Name: name, DM: rates[3*i], DE: rates[3*i+1], OP: rates[3*i+2]})
 	}
-	res.AvgDM = metrics.Mean(dms)
-	res.AvgDE = metrics.Mean(des)
-	res.AvgOPT = metrics.Mean(ops)
+	avg := means(rates, len(res.Rows))
+	res.AvgDM, res.AvgDE, res.AvgOPT = avg[0], avg[1], avg[2]
 	return res
 }
 

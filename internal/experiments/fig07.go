@@ -69,10 +69,7 @@ func hierSweep(w *Workloads) HierResult {
 		res.L1 = append(res.L1, l1)
 		res.L2Global = append(res.L2Global, l2)
 	}
-	opts := suiteRates(w, instrKind, func(refs []trace.Ref) float64 {
-		return optRate(refs, HierL1, false)
-	})
-	res.OptL1 = 100 * metrics.Mean(opts)
+	res.OptL1 = 100 * suiteMeans(w, instrKind, []uint64{HierL1.Size}, []uint64{HierL1.LineSize}, "opt:nolastline")[0]
 	return res
 }
 

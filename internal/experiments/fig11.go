@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // Fig11Sizes is the line-size axis of Figure 11.
@@ -28,24 +26,13 @@ type Fig11Result struct {
 // Fig11 reproduces Figure 11: instruction-cache miss rate versus line
 // size at a fixed 32KB capacity.
 func Fig11(w *Workloads) Fig11Result {
-	var res Fig11Result
-	res.DM.Name, res.DE.Name, res.OPT.Name = "direct-mapped", "dynamic exclusion", "optimal direct-mapped"
-	for _, line := range Fig11Sizes {
-		geom := cache.DM(Fig11CacheSize, line)
-		n := len(w.Names())
-		dms, des, ops := make([]float64, n), make([]float64, n), make([]float64, n)
-		forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-			dms[i] = dmRate(refs, geom)
-			des[i] = deRate(refs, geom, true)
-			ops[i] = optRate(refs, geom, true)
-		})
-		x := float64(line)
-		res.DM.Points = append(res.DM.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(dms)})
-		res.DE.Points = append(res.DE.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(des)})
-		res.OPT.Points = append(res.OPT.Points, metrics.Point{X: x, Y: 100 * metrics.Mean(ops)})
+	avg := suiteMeans(w, instrKind, []uint64{Fig11CacheSize}, Fig11Sizes, figurePolicies(true)...)
+	xs := make([]float64, len(Fig11Sizes))
+	for i, line := range Fig11Sizes {
+		xs[i] = float64(line)
 	}
-	res.Reduction = metrics.ReductionSeries("DE reduction", res.DM, res.DE)
-	return res
+	c := curves(avg, xs, figureCurves...)
+	return Fig11Result{DM: c[0], DE: c[1], OPT: c[2], Reduction: metrics.ReductionSeries("DE reduction", c[0], c[1])}
 }
 
 // String renders the line-size sweep.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/table"
 )
 
@@ -31,20 +30,11 @@ var fig13Base = cache.DM(8<<10, 16)
 
 // Fig13 reproduces the Figure 13 efficiency table.
 func Fig13(w *Workloads) Fig13Result {
-	big := cache.DM(16<<10, 16)
-	deSpec := policy.MustParse("de:store=hashed*4,lastline")
-	var base, de, dbl []float64
-	for _, name := range w.Names() {
-		refs := w.Instr(name)
-		base = append(base, dmRate(refs, fig13Base))
-		dbl = append(dbl, dmRate(refs, big))
-		de = append(de, specRate(deSpec, refs, fig13Base))
-	}
-	r := Fig13Result{
-		BaseDM: metrics.Mean(base),
-		DE:     metrics.Mean(de),
-		BigDM:  metrics.Mean(dbl),
-	}
+	// One grid at 8 and 16 KiB: its dm cells are the baseline and the
+	// doubled cache, and its 8 KiB de cell the realizable DE design.
+	avg := suiteMeans(w, instrKind, []uint64{fig13Base.Size, 2 * fig13Base.Size}, []uint64{fig13Base.LineSize},
+		"dm", "de:store=hashed*4,lastline")
+	r := Fig13Result{BaseDM: avg[0], DE: avg[1], BigDM: avg[2]}
 	r.DESizePct = deOverheadPct(fig13Base)
 	r.BigSizePct = 100
 	r.DEMissPct = metrics.Reduction(r.BaseDM, r.DE)

@@ -3,10 +3,8 @@ package experiments
 import (
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/patterns"
-	"repro/internal/policy"
 	"repro/internal/table"
 )
 
@@ -29,7 +27,6 @@ type Sec3Row struct {
 // closed-form.
 func Sec3() Sec3Result {
 	const size = 32 << 10
-	geom := cache.DM(size, 4)
 	cases := []struct {
 		spec       patterns.Spec
 		analyticDM float64
@@ -40,17 +37,23 @@ func Sec3() Sec3Result {
 		{patterns.WithinLoop(10), patterns.WithinLoopDM(10), patterns.WithinLoopOPT(10)},
 		{patterns.ThreeWay(10), patterns.ThreeWayDM(10), patterns.ThreeWayOPT(10)},
 	}
-	deSpec := policy.MustParse("de:cold=miss")
+	specs := make([]patterns.Spec, len(cases))
+	for i, c := range cases {
+		specs[i] = c.spec
+	}
+	// Sec3 takes no workloads, so it runs on the zero Config: the
+	// background context and no collector.
+	rates := runGrid(Config{}, patternSources(size, specs...), []uint64{size}, []uint64{4},
+		"dm", "de:cold=miss", "opt:nolastline")
 	var res Sec3Result
-	for _, c := range cases {
-		refs := c.spec.Refs(0, size)
+	for i, c := range cases {
 		res.Rows = append(res.Rows, Sec3Row{
 			Pattern:    c.spec.Name,
 			AnalyticDM: c.analyticDM,
 			AnalyticOP: c.analyticOP,
-			SimDM:      dmRate(refs, geom),
-			SimDE:      specRate(deSpec, refs, geom),
-			SimOP:      optRate(refs, geom, false),
+			SimDM:      rates[3*i],
+			SimDE:      rates[3*i+1],
+			SimOP:      rates[3*i+2],
 		})
 	}
 	return res

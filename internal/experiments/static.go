@@ -27,25 +27,22 @@ type StaticResult struct {
 // Static runs the comparison at the conflict-heavy 8KB point.
 func Static(w *Workloads) StaticResult {
 	res := StaticResult{Geom: ablGeom}
+	avg := suiteMeans(w, instrKind, ablSizes, ablLines, figurePolicies(false)...)
+	res.DM, res.DE, res.OPT = avg[0], avg[1], avg[2]
+	// The profile-trained caches are not registry policies; they run
+	// once per benchmark.
 	n := len(w.Names())
-	dms, selfs, stales := make([]float64, n), make([]float64, n), make([]float64, n)
-	des, opts := make([]float64, n), make([]float64, n)
+	selfs, stales := make([]float64, n), make([]float64, n)
 	excl, blocks := make([]float64, n), make([]float64, n)
 	forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-		dms[i] = dmRate(refs, res.Geom)
-		des[i] = deRate(refs, res.Geom, false)
-		opts[i] = optRate(refs, res.Geom, false)
 		// Self profile: trained and evaluated on the full stream.
 		selfs[i], excl[i], blocks[i] = staticRate(refs, refs, res.Geom)
 		// Stale profile: trained on the first half, evaluated on the
 		// second (different phases of the program).
 		stales[i], _, _ = staticRate(refs[:len(refs)/2], refs[len(refs)/2:], res.Geom)
 	})
-	res.DM = metrics.Mean(dms)
 	res.StaticSelf = metrics.Mean(selfs)
 	res.StaticStale = metrics.Mean(stales)
-	res.DE = metrics.Mean(des)
-	res.OPT = metrics.Mean(opts)
 	res.AvgExcludedSelf = metrics.Mean(excl)
 	res.AvgBlocksTot = metrics.Mean(blocks)
 	return res

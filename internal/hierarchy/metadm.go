@@ -11,12 +11,15 @@ import "repro/internal/cache"
 // policy — inclusive or exclusive — decides whether a missing block is
 // actually stored.
 type metaDM struct {
-	geom  cache.Geometry
-	sets  [][]metaWay
-	clock uint64
-	defH  bool // bit given to lines filled without an explicit value
-	stats cache.Stats
-	extra L2Extra
+	// lineShift and setMask index by block number (cache.IndexShifts),
+	// taken once here so no reference divides.
+	lineShift uint
+	setMask   uint64
+	sets      [][]metaWay
+	clock     uint64
+	defH      bool // bit given to lines filled without an explicit value
+	stats     cache.Stats
+	extra     L2Extra
 }
 
 // metaWay is one line with its metadata.
@@ -38,6 +41,7 @@ type L2Extra struct {
 }
 
 func newMetaDM(geom cache.Geometry, defH bool) *metaDM {
+	lineShift, setMask := cache.IndexShifts(geom)
 	nsets := geom.Sets()
 	ways := geom.WaysPerSet()
 	sets := make([][]metaWay, nsets)
@@ -45,15 +49,14 @@ func newMetaDM(geom cache.Geometry, defH bool) *metaDM {
 	for i := range sets {
 		sets[i], backing = backing[:ways:ways], backing[ways:]
 	}
-	return &metaDM{geom: geom, sets: sets, defH: defH}
+	return &metaDM{lineShift: lineShift, setMask: setMask, sets: sets, defH: defH}
 }
 
-// find returns the way index holding addr's block, or -1.
-func (m *metaDM) find(addr uint64) (set []metaWay, idx int) {
-	set = m.sets[m.geom.Set(addr)]
-	tag := m.geom.Tag(addr)
+// find returns block's set and the way index holding block, or -1.
+func (m *metaDM) find(block uint64) (set []metaWay, idx int) {
+	set = m.sets[block&m.setMask]
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].valid && set[i].tag == block {
 			return set, i
 		}
 	}
@@ -67,7 +70,7 @@ func (m *metaDM) find(addr uint64) (set []metaWay, idx int) {
 func (m *metaDM) probe(addr uint64) bool {
 	m.clock++
 	m.stats.Accesses++
-	set, i := m.find(addr)
+	set, i := m.find(addr >> m.lineShift)
 	if i >= 0 {
 		set[i].stamp = m.clock
 		m.stats.Hits++
@@ -81,7 +84,8 @@ func (m *metaDM) probe(addr uint64) bool {
 // counting an access. The LRU way is displaced if the set is full.
 func (m *metaDM) insert(addr uint64, h bool) {
 	m.clock++
-	set, i := m.find(addr)
+	block := addr >> m.lineShift
+	set, i := m.find(block)
 	if i >= 0 {
 		set[i].hbit = h
 		set[i].stamp = m.clock
@@ -100,7 +104,7 @@ func (m *metaDM) insert(addr uint64, h bool) {
 	if set[victim].valid {
 		m.stats.Evictions++
 	}
-	set[victim] = metaWay{tag: m.geom.Tag(addr), valid: true, hbit: h, stamp: m.clock}
+	set[victim] = metaWay{tag: block, valid: true, hbit: h, stamp: m.clock}
 	m.stats.Fills++
 	m.extra.Spills++
 }
@@ -109,7 +113,7 @@ func (m *metaDM) insert(addr uint64, h bool) {
 // resident (no stats side effects). block is in L1/L2 line units (the two
 // levels share a line size).
 func (m *metaDM) lookupH(block uint64) (bool, bool) {
-	set, i := m.find(block * m.geom.LineSize)
+	set, i := m.find(block)
 	if i >= 0 {
 		return set[i].hbit, true
 	}
@@ -118,20 +122,20 @@ func (m *metaDM) lookupH(block uint64) (bool, bool) {
 
 // setH updates the stored bit if the block is resident.
 func (m *metaDM) setH(addr uint64, h bool) {
-	if set, i := m.find(addr); i >= 0 {
+	if set, i := m.find(addr >> m.lineShift); i >= 0 {
 		set[i].hbit = h
 	}
 }
 
 // invalidate drops addr's block if resident.
 func (m *metaDM) invalidate(addr uint64) {
-	if set, i := m.find(addr); i >= 0 {
+	if set, i := m.find(addr >> m.lineShift); i >= 0 {
 		set[i].valid = false
 	}
 }
 
 // contains reports residency without side effects.
 func (m *metaDM) contains(addr uint64) bool {
-	_, i := m.find(addr)
+	_, i := m.find(addr >> m.lineShift)
 	return i >= 0
 }

@@ -22,12 +22,13 @@ import (
 // simulation (Train), per-block hits and fills in a conventional
 // direct-mapped cache — at a fixed geometry.
 type Profile struct {
-	geom   cache.Geometry
-	counts map[uint64]uint64
-	hits   map[uint64]uint64
-	fills  map[uint64]uint64
-	sim    *cache.DirectMapped
-	total  uint64
+	geom      cache.Geometry
+	lineShift uint // cache.IndexShifts, so Add never divides
+	counts    map[uint64]uint64
+	hits      map[uint64]uint64
+	fills     map[uint64]uint64
+	sim       *cache.DirectMapped
+	total     uint64
 }
 
 // NewProfile returns an empty profile for the geometry (Ways forced 1).
@@ -40,19 +41,21 @@ func NewProfile(geom cache.Geometry) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	lineShift, _ := cache.IndexShifts(geom)
 	return &Profile{
-		geom:   geom,
-		counts: map[uint64]uint64{},
-		hits:   map[uint64]uint64{},
-		fills:  map[uint64]uint64{},
-		sim:    sim,
+		geom:      geom,
+		lineShift: lineShift,
+		counts:    map[uint64]uint64{},
+		hits:      map[uint64]uint64{},
+		fills:     map[uint64]uint64{},
+		sim:       sim,
 	}, nil
 }
 
 // Add records one reference, running it through the training cache so
 // the profile learns which blocks actually hit.
 func (p *Profile) Add(addr uint64) {
-	block := p.geom.Block(addr)
+	block := addr >> p.lineShift
 	p.counts[block]++
 	p.total++
 	switch p.sim.Access(addr) {
@@ -148,11 +151,15 @@ func (p *Profile) NetExclusions() map[uint64]bool {
 // Cache is a direct-mapped cache that statically bypasses an
 // excluded-by-address block set.
 type Cache struct {
-	geom     cache.Geometry
-	tags     []uint64
-	valid    []bool
-	excluded map[uint64]bool
-	stats    cache.Stats
+	geom cache.Geometry
+	// lineShift and setMask index by block number (cache.IndexShifts),
+	// taken once here so no reference divides.
+	lineShift uint
+	setMask   uint64
+	tags      []uint64
+	valid     []bool
+	excluded  map[uint64]bool
+	stats     cache.Stats
 }
 
 // NewCache returns a static-exclusion cache. excluded maps block numbers
@@ -162,18 +169,21 @@ func NewCache(geom cache.Geometry, excluded map[uint64]bool) (*Cache, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
+	lineShift, setMask := cache.IndexShifts(geom)
 	return &Cache{
-		geom:     geom,
-		tags:     make([]uint64, geom.Sets()),
-		valid:    make([]bool, geom.Sets()),
-		excluded: excluded,
+		geom:      geom,
+		lineShift: lineShift,
+		setMask:   setMask,
+		tags:      make([]uint64, geom.Sets()),
+		valid:     make([]bool, geom.Sets()),
+		excluded:  excluded,
 	}, nil
 }
 
 // Access references addr; excluded blocks always bypass.
 func (c *Cache) Access(addr uint64) cache.Result {
-	block := c.geom.Block(addr)
-	set := block % uint64(len(c.tags))
+	block := addr >> c.lineShift
+	set := block & c.setMask
 	if c.valid[set] && c.tags[set] == block {
 		c.stats.Record(cache.Hit, false)
 		return cache.Hit

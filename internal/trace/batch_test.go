@@ -149,13 +149,18 @@ func TestBatchErrorPropagation(t *testing.T) {
 	}
 }
 
+// nextOnly hides a reader's bulk path, leaving only Next.
+type nextOnly struct{ r Reader }
+
+func (n nextOnly) Next() (Ref, error) { return n.r.Next() }
+
 // TestBatchFallback drives a Next-only reader through the ReadBatch
 // helper.
 func TestBatchFallback(t *testing.T) {
 	refs := mixedRefs(13, 500)
-	plain := ReaderFunc(NewSliceReader(refs).Next)
+	plain := nextOnly{NewSliceReader(refs)}
 	if _, ok := Reader(plain).(BatchReader); ok {
-		t.Fatal("ReaderFunc unexpectedly implements BatchReader")
+		t.Fatal("nextOnly unexpectedly implements BatchReader")
 	}
 	sameRefs(t, drainBatch(t, plain, []int{64}), refs, "fallback")
 }

@@ -90,12 +90,6 @@ func ReadBatch(r Reader, dst []Ref) (int, error) {
 	return n, nil
 }
 
-// ReaderFunc adapts a function to the Reader interface.
-type ReaderFunc func() (Ref, error)
-
-// Next calls f.
-func (f ReaderFunc) Next() (Ref, error) { return f() }
-
 // SliceReader replays an in-memory slice of references.
 type SliceReader struct {
 	refs []Ref
@@ -170,23 +164,4 @@ func Collect(r Reader, max int) ([]Ref, error) {
 			return refs, err
 		}
 	}
-}
-
-// Drive pushes every reference from r into sink until EOF or limit refs
-// (limit <= 0 means unlimited). It returns the number of references
-// delivered.
-func Drive(r Reader, limit int, sink func(Ref)) (int, error) {
-	n := 0
-	for limit <= 0 || n < limit {
-		ref, err := r.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		sink(ref)
-		n++
-	}
-	return n, nil
 }

@@ -78,20 +78,6 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-func TestDrive(t *testing.T) {
-	in := refs(0, 4, 8, 12)
-	var seen int
-	n, err := Drive(NewSliceReader(in), 3, func(Ref) { seen++ })
-	if err != nil || n != 3 || seen != 3 {
-		t.Errorf("Drive = %d, %v (seen %d), want 3", n, err, seen)
-	}
-	seen = 0
-	n, err = Drive(NewSliceReader(in), 0, func(Ref) { seen++ })
-	if err != nil || n != 4 || seen != 4 {
-		t.Errorf("Drive unlimited = %d, %v (seen %d), want 4", n, err, seen)
-	}
-}
-
 func TestLimit(t *testing.T) {
 	in := refs(0, 4, 8, 12)
 	got, err := Collect(Limit(NewSliceReader(in), 2), 0)
@@ -116,94 +102,6 @@ func TestFilterKinds(t *testing.T) {
 	}
 	if d[0].Kind != Load || d[1].Kind != Store {
 		t.Errorf("OnlyData kinds = %v", d)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := NewSliceReader(refs(0, 4))
-	b := NewSliceReader(refs(8))
-	got, err := Collect(Concat(a, b), 0)
-	if err != nil || len(got) != 3 || got[2].Addr != 8 {
-		t.Errorf("Concat = %v, %v", got, err)
-	}
-}
-
-func TestCounting(t *testing.T) {
-	in := []Ref{{0, Instr}, {4, Load}, {8, Store}, {12, Instr}}
-	c := NewCounting(NewSliceReader(in))
-	if _, err := Collect(c, 0); err != nil {
-		t.Fatal(err)
-	}
-	if c.ByKind[Instr] != 2 || c.ByKind[Load] != 1 || c.ByKind[Store] != 1 {
-		t.Errorf("counts = %v", c.ByKind)
-	}
-	if c.Total() != 4 {
-		t.Errorf("Total = %d, want 4", c.Total())
-	}
-}
-
-func TestCollapseLines(t *testing.T) {
-	// 16B lines: addresses 0,4,8,12 are one line; 16 is the next.
-	in := refs(0, 4, 8, 12, 16, 20, 0, 16)
-	got, err := Collect(CollapseLines(NewSliceReader(in), 16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refs(0, 16, 0, 16)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CollapseLines = %v, want %v", got, want)
-	}
-}
-
-func TestCollapseLinesKindChangeDoesNotBreakRun(t *testing.T) {
-	in := []Ref{{0, Instr}, {8, Load}, {32, Instr}}
-	got, err := Collect(CollapseLines(NewSliceReader(in), 16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Addr != 0 || got[1].Addr != 32 {
-		t.Errorf("CollapseLines = %v", got)
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	got, err := Collect(Repeat(refs(0, 4), 3), 0)
-	if err != nil || len(got) != 6 {
-		t.Fatalf("Repeat = %v, %v", got, err)
-	}
-	want := refs(0, 4, 0, 4, 0, 4)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Repeat = %v, want %v", got, want)
-	}
-	if got, _ := Collect(Repeat(refs(1), 0), 0); len(got) != 0 {
-		t.Errorf("Repeat 0 times = %v, want empty", got)
-	}
-}
-
-func TestInterleave(t *testing.T) {
-	a := NewSliceReader(refs(0, 4, 8))
-	b := NewSliceReader([]Ref{{100, Load}, {104, Load}})
-	got, err := Collect(Interleave([]Reader{a, b}, []int{2, 1}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAddrs := []uint64{0, 4, 100, 8, 104}
-	if len(got) != len(wantAddrs) {
-		t.Fatalf("Interleave len = %d, want %d: %v", len(got), len(wantAddrs), got)
-	}
-	for i, w := range wantAddrs {
-		if got[i].Addr != w {
-			t.Errorf("ref %d = %d, want %d", i, got[i].Addr, w)
-		}
-	}
-}
-
-func TestInterleaveDefaultWeights(t *testing.T) {
-	a := NewSliceReader(refs(0))
-	b := NewSliceReader(refs(100, 104))
-	got, err := Collect(Interleave([]Reader{a, b}, nil), 0)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("Interleave = %v, %v", got, err)
 	}
 }
 

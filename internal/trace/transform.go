@@ -40,26 +40,10 @@ func (l *limitReader) ReadBatch(dst []Ref) (int, error) {
 	return n, err
 }
 
-// Filter returns a Reader passing only references for which keep returns
-// true.
-func Filter(r Reader, keep func(Ref) bool) Reader {
-	return ReaderFunc(func() (Ref, error) {
-		for {
-			ref, err := r.Next()
-			if err != nil {
-				return ref, err
-			}
-			if keep(ref) {
-				return ref, nil
-			}
-		}
-	})
-}
-
-// kindFilter passes references whose kind is in the mask. Unlike the
-// generic Filter it is batch-capable: ReadBatch pulls bulk runs from the
-// wrapped reader and compacts the survivors, so a filtered stream over a
-// BatchReader costs no per-reference interface calls.
+// kindFilter passes references whose kind is in the mask. It is
+// batch-capable: ReadBatch pulls bulk runs from the wrapped reader and
+// compacts the survivors, so a filtered stream over a BatchReader costs
+// no per-reference interface calls.
 type kindFilter struct {
 	r    Reader
 	mask [3]bool
@@ -144,127 +128,4 @@ func OnlyInstr(r Reader) Reader { return OnlyKind(r, Instr) }
 // OnlyData returns a Reader passing only loads and stores.
 func OnlyData(r Reader) Reader {
 	return &kindFilter{r: r, mask: [3]bool{Load: true, Store: true}}
-}
-
-// Concat returns a Reader that drains each reader in turn.
-func Concat(readers ...Reader) Reader {
-	i := 0
-	return ReaderFunc(func() (Ref, error) {
-		for i < len(readers) {
-			ref, err := readers[i].Next()
-			if err == io.EOF {
-				i++
-				continue
-			}
-			return ref, err
-		}
-		return Ref{}, io.EOF
-	})
-}
-
-// Counting wraps r and counts references by kind as they pass through.
-type Counting struct {
-	r Reader
-	// ByKind counts delivered references per kind.
-	ByKind [3]uint64
-}
-
-// NewCounting returns a counting wrapper around r.
-func NewCounting(r Reader) *Counting { return &Counting{r: r} }
-
-// Next passes through to the wrapped reader, counting successes.
-func (c *Counting) Next() (Ref, error) {
-	ref, err := c.r.Next()
-	if err == nil {
-		c.ByKind[ref.Kind]++
-	}
-	return ref, err
-}
-
-// Total returns the total number of references delivered so far.
-func (c *Counting) Total() uint64 {
-	return c.ByKind[Instr] + c.ByKind[Load] + c.ByKind[Store]
-}
-
-// CollapseLines returns a Reader that collapses runs of consecutive
-// references falling in the same cache line (lineSize bytes, a power of
-// two) into a single reference: the first reference of each run. This is
-// the "treat the sequential references to each cache line as one
-// reference" view of Section 6 of the paper. Kind changes do not break a
-// run; only a change of line address does.
-func CollapseLines(r Reader, lineSize uint64) Reader {
-	mask := ^(lineSize - 1)
-	first := true
-	var lastLine uint64
-	return ReaderFunc(func() (Ref, error) {
-		for {
-			ref, err := r.Next()
-			if err != nil {
-				return ref, err
-			}
-			line := ref.Addr & mask
-			if first || line != lastLine {
-				first = false
-				lastLine = line
-				return ref, nil
-			}
-		}
-	})
-}
-
-// Repeat replays the same slice of references n times.
-func Repeat(refs []Ref, n int) Reader {
-	i, round := 0, 0
-	return ReaderFunc(func() (Ref, error) {
-		if round >= n {
-			return Ref{}, io.EOF
-		}
-		if i >= len(refs) {
-			i = 0
-			round++
-			if round >= n {
-				return Ref{}, io.EOF
-			}
-		}
-		ref := refs[i]
-		i++
-		return ref, nil
-	})
-}
-
-// Interleave merges readers round-robin with the given per-reader weights:
-// weights[i] references are taken from readers[i], then weights[i+1] from
-// the next, cycling until every reader is exhausted. A nil weights slice
-// means one reference each. This models the instruction/data interleaving
-// of a combined cache (Section 7).
-func Interleave(readers []Reader, weights []int) Reader {
-	if weights == nil {
-		weights = make([]int, len(readers))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	done := make([]bool, len(readers))
-	cur, taken, remaining := 0, 0, len(readers)
-	return ReaderFunc(func() (Ref, error) {
-		for remaining > 0 {
-			if done[cur] || taken >= weights[cur] {
-				cur = (cur + 1) % len(readers)
-				taken = 0
-				continue
-			}
-			ref, err := readers[cur].Next()
-			if err == io.EOF {
-				done[cur] = true
-				remaining--
-				continue
-			}
-			if err != nil {
-				return ref, err
-			}
-			taken++
-			return ref, nil
-		}
-		return Ref{}, io.EOF
-	})
 }

@@ -69,11 +69,11 @@ type content interface {
 
 // Cache wraps a content simulator with a write policy.
 type Cache struct {
-	inner  content
-	policy Policy
-	dirty  map[uint64]bool
-	ws     WriteStats
-	geom   cache.Geometry
+	inner     content
+	policy    Policy
+	dirty     map[uint64]bool
+	ws        WriteStats
+	lineShift uint // cache.IndexShifts of the inner geometry
 }
 
 // WrapDM wraps a conventional direct-mapped cache. The cache's OnEvict
@@ -103,11 +103,12 @@ func newCache(inner content, policy Policy) (*Cache, error) {
 	if policy > WriteThrough {
 		return nil, fmt.Errorf("writepolicy: unknown policy %d", policy)
 	}
+	lineShift, _ := cache.IndexShifts(inner.Geometry())
 	return &Cache{
-		inner:  inner,
-		policy: policy,
-		dirty:  map[uint64]bool{},
-		geom:   inner.Geometry(),
+		inner:     inner,
+		policy:    policy,
+		dirty:     map[uint64]bool{},
+		lineShift: lineShift,
 	}, nil
 }
 
@@ -129,7 +130,7 @@ func (c *Cache) Access(ref trace.Ref) cache.Result {
 		return res
 	}
 	c.ws.Stores++
-	block := c.geom.Block(ref.Addr)
+	block := ref.Addr >> c.lineShift
 	switch c.policy {
 	case WriteThrough:
 		c.ws.ThroughWrites++
