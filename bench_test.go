@@ -44,7 +44,7 @@ func workloads(b *testing.B) *experiments.Workloads {
 func BenchmarkSec3(b *testing.B) {
 	var r experiments.Sec3Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Sec3()
+		r = experiments.Sec3(experiments.Config{})
 	}
 	b.ReportMetric(100*r.Rows[2].SimDE, "withinloop-DE-miss%")
 }

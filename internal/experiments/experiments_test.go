@@ -154,7 +154,7 @@ func TestWorkloadsUnknownBenchmarkPanics(t *testing.T) {
 }
 
 func TestSec3MatchesAnalytic(t *testing.T) {
-	r := Sec3()
+	r := Sec3(Config{})
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -228,6 +228,22 @@ func TestFig03ReportsEverySimulation(t *testing.T) {
 	Fig03(NewWorkloads(Config{Refs: refs, Collector: col}))
 	if col.cells != 30 || col.refs != 30*refs {
 		t.Errorf("collector saw %d cells, %d refs; want 30 cells, %d refs", col.cells, col.refs, 30*refs)
+	}
+}
+
+// TestSec3RunsOnTheRunsConfig runs the registry's sec3 entry as
+// dynex-experiments does and requires its collector to see all 12
+// simulations: 4 patterns × dm, de:cold=miss and opt:nolastline.
+func TestSec3RunsOnTheRunsConfig(t *testing.T) {
+	col := &countingCollector{}
+	w := NewWorkloads(Config{Workers: 1, Collector: col})
+	for _, r := range Registry() {
+		if r.ID == "sec3" {
+			r.Run(w)
+		}
+	}
+	if col.cells != 12 {
+		t.Errorf("collector saw %d sec3 cells, want 12", col.cells)
 	}
 }
 

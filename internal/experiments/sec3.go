@@ -23,9 +23,10 @@ type Sec3Row struct {
 	SimDM, SimDE, SimOP    float64
 }
 
-// Sec3 runs the pattern analysis. It takes no workloads: the patterns are
-// closed-form.
-func Sec3() Sec3Result {
+// Sec3 runs the pattern analysis on cfg's context, workers and
+// collector. It takes no workloads: the patterns are closed-form, and
+// cfg's stream length and seed offset do not apply to them.
+func Sec3(cfg Config) Sec3Result {
 	const size = 32 << 10
 	cases := []struct {
 		spec       patterns.Spec
@@ -41,9 +42,7 @@ func Sec3() Sec3Result {
 	for i, c := range cases {
 		specs[i] = c.spec
 	}
-	// Sec3 takes no workloads, so it runs on the zero Config: the
-	// background context and no collector.
-	rates := runGrid(Config{}, patternSources(size, specs...), []uint64{size}, []uint64{4},
+	rates := runGrid(cfg, patternSources(size, specs...), []uint64{size}, []uint64{4},
 		"dm", "de:cold=miss", "opt:nolastline")
 	var res Sec3Result
 	for i, c := range cases {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/opt"
 	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/trace"
@@ -134,12 +135,19 @@ type Plan struct {
 	Cells []engine.Cell
 	// FPs[i] is Cells[i]'s checkpoint fingerprint.
 	FPs []string
+
+	// passes keeps the next-use passes the optimal cells of each size
+	// column share; Run bounds how many it keeps at once.
+	passes *opt.Passes
 }
 
 // Build validates the whole grid — every policy spec parses, every
 // geometry validates — before any simulation could start, and returns
-// the cell plan. Fingerprints use the historical "dynex-sweep/v1"
-// composition: (source, kind, refs, size, line, raw policy text).
+// the cell plan. Each (source, line, policy) size column's cells come
+// from one policy.Spec.Cells call, so its optimal cells can share one
+// next-use pass during Run. Fingerprints use the historical
+// "dynex-sweep/v1" composition: (source, kind, refs, size, line, raw
+// policy text).
 func (s Spec) Build() (Plan, error) {
 	if len(s.Sources) == 0 {
 		return Plan{}, fmt.Errorf("grid: no sources")
@@ -158,27 +166,29 @@ func (s Spec) Build() (Plan, error) {
 		}
 		polSpecs[i] = sp
 	}
-	p := Plan{
-		Spec:  s,
-		Cells: make([]engine.Cell, 0, s.NumCells()),
-		FPs:   make([]string, 0, s.NumCells()),
+	for _, size := range s.Sizes {
+		for _, line := range s.Lines {
+			if err := cache.DM(size, line).Validate(); err != nil {
+				return Plan{}, err
+			}
+		}
 	}
-	for _, src := range s.Sources {
-		for _, size := range s.Sizes {
-			for _, line := range s.Lines {
-				geom := cache.DM(size, line)
-				if err := geom.Validate(); err != nil {
-					return Plan{}, err
-				}
-				for pi, pol := range s.Policies {
-					cell := polSpecs[pi].Cell()
-					cell.Geometry = geom
+	n := s.NumCells()
+	p := Plan{Spec: s, Cells: make([]engine.Cell, n), FPs: make([]string, n), passes: new(opt.Passes)}
+	nS, nL, nP := len(s.Sizes), len(s.Lines), len(s.Policies)
+	for si, src := range s.Sources {
+		for li, line := range s.Lines {
+			for pi, pol := range s.Policies {
+				col := polSpecs[pi].Cells(line, s.Sizes, p.passes)
+				for zi, size := range s.Sizes {
+					i := ((si*nS+zi)*nL+li)*nP + pi
+					cell := col[zi]
 					cell.Label = fmt.Sprintf("%s/%d/%d/%s", src.Name, size, line, pol)
 					cell.Stream = src.Stream
-					p.Cells = append(p.Cells, cell)
-					p.FPs = append(p.FPs, checkpoint.Fingerprint(
+					p.Cells[i] = cell
+					p.FPs[i] = checkpoint.Fingerprint(
 						"dynex-sweep/v1", src.Name, s.Kind, strconv.Itoa(s.Refs),
-						strconv.FormatUint(size, 10), strconv.FormatUint(line, 10), pol))
+						strconv.FormatUint(size, 10), strconv.FormatUint(line, 10), pol)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"errors"
+	"runtime"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -65,11 +66,28 @@ type RunOptions struct {
 	OnCell func(i int, r engine.Result, appendErr error)
 }
 
+// keptPerWorker is how many shared next-use passes a run keeps per
+// engine worker. A worker takes single cells in plan order, where a
+// source's size row holds one opt cell of every (line, policy) column,
+// so a column's pass is kept across the rest of the row; two per worker
+// carry a grid with two line sizes (the paper's 4 and 16 B) through its
+// rows. A sharer that finds the limit reached computes a pass of its
+// own.
+const keptPerWorker = 2
+
 // Run partitions the pending plan cells into column units, runs them
 // with engine.RunGrouped, journals them, and merges their results into
 // results (one entry per plan cell) at their plan indices. It returns
-// the engine's error: ctx's error if the run was cancelled.
+// the engine's error: ctx's error if the run was cancelled. The run
+// keeps at most keptPerWorker shared next-use passes per worker and
+// drops them all before it returns. A plan's runs must not overlap (one
+// run's end would drop the other's passes; results stay exact).
 func (p Plan) Run(ctx context.Context, results []engine.Result, pending []int, o RunOptions) error {
+	workers := o.Engine.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	defer p.passes.Run(keptPerWorker * workers)()
 	cells := make([]engine.Cell, len(pending))
 	for k, i := range pending {
 		cells[k] = p.Cells[i]

@@ -11,12 +11,15 @@
 // Because these simulators need the future, they run over a materialized
 // reference slice in two passes: a backward pass computing each
 // reference's next use, then a forward simulation. The backward pass
-// depends only on the line size, and both simulators share it.
+// depends only on the stream, the line size and the last-line setting,
+// never on the cache size or associativity, so both simulators run the
+// same one, and Shared lends one pass to every cell of a size column.
 package opt
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
@@ -63,11 +66,7 @@ func SimulateDM(refs []trace.Ref, geom cache.Geometry, useLastLine bool) cache.S
 func SimulateDMWindow(refs []trace.Ref, geom cache.Geometry, useLastLine bool, warmup int) cache.Stats {
 	geom.Ways = 1
 	lineShift, setMask := shape(geom, len(refs))
-	warmup = max(0, min(warmup, len(refs)))
-	next := nextUse(refs, lineShift, useLastLine)
-	lines := make([]resident, setMask+1)
-	decideDM(refs[:warmup], next[:warmup], lines, lineShift, setMask)
-	return decideDM(refs[warmup:], next[warmup:], lines, lineShift, setMask).stats()
+	return newPass(refs, lineShift, useLastLine).dm(setMask, warmup)
 }
 
 // SimulateSetAssoc runs Belady-optimal replacement with bypass on an
@@ -77,8 +76,126 @@ func SimulateSetAssoc(refs []trace.Ref, geom cache.Geometry) cache.Stats {
 	lineShift, setMask := shape(geom, len(refs))
 	nways := geom.WaysPerSet()
 	ways := make([]resident, int(setMask+1)*nways)
-	next := nextUse(refs, lineShift, false)
-	return decideSetAssoc(refs, next, ways, nways, lineShift, setMask).stats()
+	return decideSetAssoc(newPass(refs, lineShift, false), ways, nways, setMask).stats()
+}
+
+// Passes is where one grid's Shared values keep their backward passes,
+// and it bounds how many they keep at once. Run sets that limit for one
+// run of the grid; a sharer that finds it reached computes a pass of its
+// own and keeps nothing. Outside a run the limit is zero, so every
+// sharer computes its own pass.
+type Passes struct {
+	mu     sync.Mutex
+	limit  int // passes the Shared values may keep at once
+	kept   int // passes they keep now
+	shared []*Shared
+}
+
+// Shared returns a Shared for the given number of sharers, each of which
+// calls SimulateDM once per run, that keeps its pass in ps.
+func (ps *Passes) Shared(sharers int) *Shared {
+	s := &Shared{ps: ps, sharers: sharers, left: sharers}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.shared = append(ps.shared, s)
+	return s
+}
+
+// Run opens a run in which ps keeps at most limit passes at once and
+// returns the function that closes it. Opening and closing both drop
+// every kept pass and restart every Shared's count of returns, so no
+// pass outlives its run, not even one whose last sharer never ran (a
+// cell restored from a journal, or one a fault injection replaced).
+// Runs of one Passes must not overlap: results stay exact, but one
+// run's close drops the other's passes.
+func (ps *Passes) Run(limit int) (end func()) {
+	ps.reset(limit)
+	return func() { ps.reset(0) }
+}
+
+func (ps *Passes) reset(limit int) {
+	ps.mu.Lock()
+	shared := ps.shared
+	ps.limit, ps.kept = limit, 0
+	ps.mu.Unlock()
+	for _, s := range shared {
+		s.mu.Lock()
+		s.pass, s.left = nil, s.sharers
+		s.mu.Unlock()
+	}
+}
+
+// take books one more kept pass if the limit allows it.
+func (ps *Passes) take() bool {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.kept >= ps.limit {
+		return false
+	}
+	ps.kept++
+	return true
+}
+
+func (ps *Passes) give() {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.kept--
+}
+
+// Shared lends one backward pass to a fixed number of sharers: the
+// optimal direct-mapped cells of one size column, which run over one
+// stream at one line size and last-line setting and differ only in
+// their set count. The first sharer to run computes the pass and, if
+// another sharer is still due and its Passes' limit allows, keeps it; a
+// sharer that arrives meanwhile waits for it. The last sharer to return
+// drops it. A sharer that finds no kept pass, or one built from another
+// stream (by backing array and length), computes its own. Sharing
+// changes no result: a pass is a function of its stream, line size and
+// last-line setting alone.
+type Shared struct {
+	ps      *Passes
+	sharers int
+
+	mu   sync.Mutex
+	pass *pass // the kept pass, or nil
+	left int   // returns still due in this run
+}
+
+// SimulateDM is SimulateDM for one sharer, run on the kept pass.
+func (s *Shared) SimulateDM(refs []trace.Ref, geom cache.Geometry, useLastLine bool) cache.Stats {
+	defer s.release()
+	geom.Ways = 1
+	lineShift, setMask := shape(geom, len(refs))
+	p := s.acquire(refs, lineShift, useLastLine)
+	if p == nil {
+		p = newPass(refs, lineShift, useLastLine)
+	}
+	return p.dm(setMask, 0)
+}
+
+// acquire returns the kept pass, computing and keeping it first if there
+// is none, another sharer is still due and the limit allows; or nil, and
+// the sharer computes its own.
+func (s *Shared) acquire(refs []trace.Ref, lineShift uint, lastLine bool) *pass {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pass == nil && s.left > 1 && s.ps.take() {
+		s.pass = newPass(refs, lineShift, lastLine)
+	}
+	if s.pass == nil || !s.pass.of(refs) {
+		return nil
+	}
+	return s.pass
+}
+
+// release books one sharer's return and drops the kept pass at the last.
+func (s *Shared) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.left--; s.left == 0 && s.pass != nil {
+		s.pass = nil
+		s.ps.give()
+	}
 }
 
 // MissRateDM is a convenience wrapper returning just the miss rate of the
@@ -98,6 +215,37 @@ func shape(geom cache.Geometry, n int) (lineShift uint, setMask uint64) {
 		panic(err.Error())
 	}
 	return cache.IndexShifts(geom)
+}
+
+// pass is the backward pass over one stream at one line size, with or
+// without the §6 last-line collapse: the stream and every reference's
+// next use. The forward passes, decideDM and decideSetAssoc, run over
+// it. Memory is 4 B per reference; nextUse's table is gone once the
+// pass is built.
+type pass struct {
+	refs      []trace.Ref
+	next      []int32
+	lineShift uint
+}
+
+func newPass(refs []trace.Ref, lineShift uint, lastLine bool) *pass {
+	return &pass{refs: refs, next: nextUse(refs, lineShift, lastLine), lineShift: lineShift}
+}
+
+// of reports whether p was built from refs: the same backing array and
+// length. A Shared's sharers all run at its line size and last-line
+// setting, so the stream is all that can differ.
+func (p *pass) of(refs []trace.Ref) bool {
+	return len(p.refs) == len(refs) && (len(refs) == 0 || &p.refs[0] == &refs[0])
+}
+
+// dm runs the optimal direct-mapped cache of setMask+1 sets over the
+// pass and counts the outcomes of the references from warmup on.
+func (p *pass) dm(setMask uint64, warmup int) cache.Stats {
+	warmup = max(0, min(warmup, len(p.refs)))
+	lines := make([]resident, setMask+1)
+	decideDM(p, 0, warmup, lines, setMask)
+	return decideDM(p, warmup, len(p.refs), lines, setMask).stats()
 }
 
 // nextUse is the backward pass: for every position i it returns the
@@ -218,14 +366,15 @@ func (c tally) stats() cache.Stats {
 }
 
 // decideDM is the forward pass of the optimal direct-mapped cache: it
-// runs refs, whose next uses are next, through lines (one per set) and
-// tallies the outcomes. lines carries over between calls, so a warmup
-// prefix and the window after it are two calls.
+// runs the pass's references lo through hi-1 through lines (one per
+// set) and tallies the outcomes. lines carries over between calls, so
+// a warmup prefix and the window after it are two calls.
 //
 //dynexcheck:hot
-func decideDM(refs []trace.Ref, next []int32, lines []resident, lineShift uint, setMask uint64) tally {
+func decideDM(p *pass, lo, hi int, lines []resident, setMask uint64) tally {
 	var c tally
-	next = next[:len(refs)]
+	refs, lineShift := p.refs[lo:hi], p.lineShift
+	next := p.next[lo:hi][:len(refs)]
 	for i := range refs {
 		nx := next[i]
 		if nx == inRun {
@@ -255,12 +404,14 @@ func decideDM(refs []trace.Ref, next []int32, lines []resident, lineShift uint, 
 }
 
 // decideSetAssoc is the forward pass of the optimal set-associative
-// cache: ways holds nways residents per set, set after set.
+// cache over the whole pass: ways holds nways residents per set, set
+// after set.
 //
 //dynexcheck:hot
-func decideSetAssoc(refs []trace.Ref, next []int32, ways []resident, nways int, lineShift uint, setMask uint64) tally {
+func decideSetAssoc(p *pass, ways []resident, nways int, setMask uint64) tally {
 	var c tally
-	next = next[:len(refs)]
+	refs, lineShift := p.refs, p.lineShift
+	next := p.next[:len(refs)]
 refs:
 	for i := range refs {
 		nx := next[i]

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/opt"
 	"repro/internal/stream"
 	"repro/internal/trace"
 	"repro/internal/victim"
@@ -196,27 +197,45 @@ func TestFamiliesMetadata(t *testing.T) {
 	}
 }
 
-// TestCellShape pins the engine adapter: whole-stream families get a
-// Direct cell, online families a Policy cell.
+// TestCellShape pins the engine adapter: a size column of opt, the one
+// whole-stream family, gets Direct cells, of an online family Policy
+// cells, one per size at the column's line, and the optimal cells, which
+// share one next-use pass inside a run of their Passes and compute their
+// own outside one, agree with Window cell by cell.
 func TestCellShape(t *testing.T) {
-	if c := MustParse("opt").Cell(); c.Direct == nil || c.Policy != nil {
-		t.Errorf("opt cell = %+v, want Direct only", c)
+	sizes := []uint64{4096, 1024, 4096}
+	for _, name := range []string{"opt", "de"} {
+		cells := MustParse(name).Cells(16, sizes, new(opt.Passes))
+		if len(cells) != len(sizes) {
+			t.Fatalf("%s: %d cells for %d sizes", name, len(cells), len(sizes))
+		}
+		for k, c := range cells {
+			if c.Geometry != cache.DM(sizes[k], 16) {
+				t.Errorf("%s cell %d geometry = %+v, want %d B at 16 B lines", name, k, c.Geometry, sizes[k])
+			}
+			if direct := name == "opt"; (c.Direct != nil) != direct || (c.Policy != nil) == direct {
+				t.Errorf("%s cell %d = %+v, want only Direct set iff the family is whole-stream", name, k, c)
+			}
+		}
 	}
-	if c := MustParse("de").Cell(); c.Policy == nil || c.Direct != nil {
-		t.Errorf("de cell = %+v, want Policy only", c)
-	}
-	// The Direct cell must agree with Window over the same stream.
-	geom := cache.DM(4096, 16)
 	refs := mixRefs(3000)
-	got, err := MustParse("opt").Cell().Direct(refs, geom)
-	if err != nil {
-		t.Fatalf("opt Direct: %v", err)
-	}
-	m, err := Window(MustBuild("opt", geom), refs, 0)
-	if err != nil {
-		t.Fatalf("opt Window: %v", err)
-	}
-	if got != m.Stats {
-		t.Errorf("opt Cell.Direct = %+v, Window = %+v", got, m.Stats)
+	for _, limit := range []int{0, 1} {
+		passes := new(opt.Passes)
+		cells := MustParse("opt").Cells(16, sizes, passes)
+		end := passes.Run(limit)
+		for k, c := range cells {
+			got, err := c.Direct(refs, c.Geometry)
+			if err != nil {
+				t.Fatalf("opt Direct %d: %v", k, err)
+			}
+			m, err := Window(MustBuild("opt", c.Geometry), refs, 0)
+			if err != nil {
+				t.Fatalf("opt Window: %v", err)
+			}
+			if got != m.Stats {
+				t.Errorf("limit %d: opt cell %d Direct = %+v, Window = %+v", limit, k, got, m.Stats)
+			}
+		}
+		end()
 	}
 }
