@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -36,9 +37,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -51,13 +50,24 @@ func main() {
 	// picks up from the journaled experiments.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		fmt.Fprintln(os.Stderr, "dynex-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context) (err error) {
+// errUsage is a usage error already reported on stderr (a bad flag or
+// an unknown -run id): main exits with status 2, as the flag package
+// does.
+var errUsage = errors.New("usage error")
+
+// run is the whole command behind a testable seam: flags in args,
+// tables or JSON lines to stdout, diagnostics to stderr, non-nil error
+// for a non-zero exit.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	// Experiment bodies panic on cell failures; with a real context those
 	// panics can now carry the user's cancellation. Recover exactly that
 	// case into a clean error (running the deferred journal/telemetry
@@ -72,23 +82,30 @@ func run(ctx context.Context) (err error) {
 			panic(v)
 		}
 	}()
+	fs := flag.NewFlagSet("dynex-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		refs       = flag.Int("refs", 1_000_000, "references collected per benchmark and stream kind")
-		runIDs     = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		jsonMode   = flag.Bool("json", false, "emit one JSON object per experiment instead of tables")
-		seed       = flag.Int64("seed", 0, "workload seed offset (sensitivity runs; 0 = the canonical suite)")
-		workers    = flag.Int("workers", 0, "simulation workers per experiment (0 = all cores)")
-		ckptPath   = flag.String("checkpoint", "", "journal finished experiments to this file and resume from it")
-		reportPath = flag.String("report", "", "write a machine-readable RunReport JSON to this file")
-		traceFile  = flag.String("trace-events", "", "write a structured JSONL event log of the run to this file")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060) during the run")
+		refs       = fs.Int("refs", 1_000_000, "references collected per benchmark and stream kind")
+		runIDs     = fs.String("run", "all", "comma-separated experiment ids, or 'all'")
+		list       = fs.Bool("list", false, "list experiment ids and exit")
+		jsonMode   = fs.Bool("json", false, "emit one JSON object per experiment instead of tables")
+		seed       = fs.Int64("seed", 0, "workload seed offset (sensitivity runs; 0 = the canonical suite)")
+		workers    = fs.Int("workers", 0, "simulation workers per experiment (0 = all cores)")
+		ckptPath   = fs.String("checkpoint", "", "journal finished experiments to this file and resume from it")
+		reportPath = fs.String("report", "", "write a machine-readable RunReport JSON to this file")
+		traceFile  = fs.String("trace-events", "", "write a structured JSONL event log of the run to this file")
+		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060) during the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage is the output
+		}
+		return errUsage
+	}
 
 	if *list {
 		for _, r := range experiments.Registry() {
-			fmt.Printf("%-10s %s\n", r.ID, r.Title)
+			fmt.Fprintf(stdout, "%-10s %s\n", r.ID, r.Title)
 		}
 		return nil
 	}
@@ -100,8 +117,8 @@ func run(ctx context.Context) (err error) {
 		for _, id := range strings.Split(*runIDs, ",") {
 			r, ok := experiments.Lookup(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "dynex-experiments: unknown experiment %q (try -list)\n", id)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "dynex-experiments: unknown experiment %q (try -list)\n", id)
+				return errUsage
 			}
 			runners = append(runners, r)
 		}
@@ -110,144 +127,87 @@ func run(ctx context.Context) (err error) {
 	// Telemetry: the collector observes every simulation cell the
 	// experiments schedule (threaded through experiments.Config) plus
 	// per-experiment annotations and checkpoint activity.
-	var col *telemetry.Collector
-	var engCol engine.Collector
-	if *reportPath != "" || *traceFile != "" || *debugAddr != "" {
-		col = telemetry.NewCollector(0)
-		engCol = col
-		if *traceFile != "" {
-			tw, err := telemetry.OpenTrace(*traceFile)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if err := tw.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "dynex-experiments: trace-events:", err)
-				}
-			}()
-			col.SetTrace(tw)
-		}
-		col.Start("dynex-experiments " + strings.Join(os.Args[1:], " "))
-		defer func() {
-			col.Finish()
-			if *reportPath != "" {
-				if err := col.WriteReport(*reportPath, "dynex-experiments "+strings.Join(os.Args[1:], " ")); err != nil {
-					fmt.Fprintln(os.Stderr, "dynex-experiments: report:", err)
-				}
-			}
-		}()
-		if *debugAddr != "" {
-			col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
-			addr, err := obs.ServeDebug(*debugAddr, obs.Default)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "dynex-experiments: debug server on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", addr)
-		}
+	col, finish, err := telemetry.Open("dynex-experiments "+strings.Join(args, " "), 0,
+		telemetry.Sinks{Report: *reportPath, TraceEvents: *traceFile, DebugAddr: *debugAddr},
+		policy.Names(), stderr)
+	if err != nil {
+		return err
 	}
+	defer finish()
 
 	var journal *checkpoint.Journal
 	if *ckptPath != "" {
-		var err error
 		if journal, err = checkpoint.Open(*ckptPath); err != nil {
 			return err
 		}
 		defer journal.Close()
 	}
-	// fp identifies one experiment's output: the renderer (mode), the
-	// experiment, and the workload parameters that determine its numbers.
+	// The output modes differ only in render, which turns a result into
+	// its journal payload, and show, which prints a payload, fresh or
+	// journaled: text mode prints a table under a header noting the
+	// elapsed time or "checkpointed", JSON mode one line per experiment.
 	mode := "text"
+	render := func(_ experiments.Runner, res fmt.Stringer) (string, error) { return fmt.Sprint(res), nil }
+	show := func(r experiments.Runner, payload, note string) {
+		fmt.Fprintf(stdout, "== %s: %s  (%s)\n\n%s\n", r.ID, r.Title, note, payload)
+	}
 	if *jsonMode {
 		mode = "json"
+		render = func(r experiments.Runner, res fmt.Stringer) (string, error) {
+			var line strings.Builder
+			err := json.NewEncoder(&line).Encode(map[string]any{
+				"id": r.ID, "title": r.Title, "refs": *refs, "result": res,
+			})
+			return line.String(), err
+		}
+		show = func(_ experiments.Runner, payload, _ string) { fmt.Fprint(stdout, payload) }
+	} else {
+		fmt.Fprintf(stdout, "Cache Replacement with Dynamic Exclusion (McFarling, ISCA 1992) — reproduction\n")
+		fmt.Fprintf(stdout, "workload: synthetic SPEC89 suite, %d refs/benchmark/kind\n\n", *refs)
 	}
+	// fp identifies one experiment's output: the renderer (mode), the
+	// experiment, and the workload parameters that determine its numbers.
 	fp := func(id string) string {
 		return checkpoint.Fingerprint("dynex-experiments/v1", mode, id,
 			strconv.Itoa(*refs), strconv.FormatInt(*seed, 10))
 	}
 
-	w := experiments.NewWorkloads(experiments.Config{Refs: *refs, SeedOffset: *seed, Workers: *workers, Collector: engCol, Ctx: ctx})
+	w := experiments.NewWorkloads(experiments.Config{Refs: *refs, SeedOffset: *seed, Workers: *workers, Collector: col, Ctx: ctx})
 	// runExperiment wraps one experiment with telemetry annotations.
 	runExperiment := func(r experiments.Runner) fmt.Stringer {
-		if col != nil {
-			col.Annotate("experiment_start", r.ID)
-			defer col.Annotate("experiment_finish", r.ID)
-		}
+		col.Annotate("experiment_start", r.ID)
+		defer col.Annotate("experiment_finish", r.ID)
 		return r.Run(w)
 	}
-	if *jsonMode {
-		for _, r := range runners {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("interrupted: %w", err)
-			}
-			if journal != nil {
-				if rec, ok := journal.Lookup(fp(r.ID)); ok {
-					fmt.Print(rec.Payload)
-					if col != nil {
-						col.CheckpointHit(r.ID, 0)
-					}
-					continue
-				}
-			}
-			var line strings.Builder
-			if err := json.NewEncoder(&line).Encode(map[string]any{
-				"id":     r.ID,
-				"title":  r.Title,
-				"refs":   *refs,
-				"result": runExperiment(r),
-			}); err != nil {
-				return err
-			}
-			// A cancellation mid-experiment can leave a partially computed
-			// result (skipped benchmarks render as zeros): never print or
-			// journal it.
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("interrupted: %w", err)
-			}
-			fmt.Print(line.String())
-			if journal != nil {
-				saveStart := time.Now()
-				if err := journal.Append(checkpoint.Record{Fingerprint: fp(r.ID), Label: r.ID, Payload: line.String()}); err != nil {
-					return fmt.Errorf("checkpoint: %w", err)
-				}
-				if col != nil {
-					col.CheckpointWrite(r.ID, time.Since(saveStart))
-				}
-			}
-		}
-		return nil
-	}
-	fmt.Printf("Cache Replacement with Dynamic Exclusion (McFarling, ISCA 1992) — reproduction\n")
-	fmt.Printf("workload: synthetic SPEC89 suite, %d refs/benchmark/kind\n\n", *refs)
 	for _, r := range runners {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("interrupted: %w", err)
 		}
 		if journal != nil {
 			if rec, ok := journal.Lookup(fp(r.ID)); ok {
-				fmt.Printf("== %s: %s  (checkpointed)\n\n", r.ID, r.Title)
-				fmt.Println(rec.Payload)
-				if col != nil {
-					col.CheckpointHit(r.ID, 0)
-				}
+				show(r, rec.Payload, "checkpointed")
+				col.CheckpointHit(r.ID, 0)
 				continue
 			}
 		}
 		start := time.Now()
-		res := fmt.Sprint(runExperiment(r))
-		// Never print or journal a result the cancellation truncated.
+		payload, err := render(r, runExperiment(r))
+		if err != nil {
+			return err
+		}
+		// A cancellation mid-experiment can leave a partially computed
+		// result (skipped benchmarks render as zeros): never print or
+		// journal it.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("interrupted: %w", err)
 		}
-		fmt.Printf("== %s: %s  (%.1fs)\n\n", r.ID, r.Title, time.Since(start).Seconds())
-		fmt.Println(res)
+		show(r, payload, fmt.Sprintf("%.1fs", time.Since(start).Seconds()))
 		if journal != nil {
 			saveStart := time.Now()
-			if err := journal.Append(checkpoint.Record{Fingerprint: fp(r.ID), Label: r.ID, Payload: res}); err != nil {
+			if err := journal.Append(checkpoint.Record{Fingerprint: fp(r.ID), Label: r.ID, Payload: payload}); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)
 			}
-			if col != nil {
-				col.CheckpointWrite(r.ID, time.Since(saveStart))
-			}
+			col.CheckpointWrite(r.ID, time.Since(saveStart))
 		}
 	}
 	return nil

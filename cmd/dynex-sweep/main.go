@@ -57,7 +57,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/grid"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
@@ -189,46 +188,14 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// aggregation, the -trace-events log, and the -debug-addr /metrics
 	// series. All of it is observational — stdout CSV is identical with
 	// and without these flags.
-	var col *telemetry.Collector
-	if *progress || *reportPath != "" || *traceFile != "" || *debugAddr != "" {
-		col = telemetry.NewCollector(nCells)
-		if *traceFile != "" {
-			tw, err := telemetry.OpenTrace(*traceFile)
-			if err != nil {
-				return err
-			}
-			defer func() {
-				if err := tw.Close(); err != nil {
-					fmt.Fprintf(stderr, "dynex-sweep: trace-events: %v\n", err)
-				}
-			}()
-			col.SetTrace(tw)
-		}
-		col.Start("dynex-sweep " + strings.Join(args, " "))
-		defer func() {
-			col.Finish()
-			if *reportPath != "" {
-				if err := col.WriteReport(*reportPath, "dynex-sweep "+strings.Join(args, " ")); err != nil {
-					fmt.Fprintf(stderr, "dynex-sweep: report: %v\n", err)
-				}
-			}
-		}()
-		if *debugAddr != "" {
-			col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
-			addr, err := obs.ServeDebug(*debugAddr, obs.Default)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "dynex-sweep: debug server on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", addr)
-		}
+	col, finish, err := telemetry.Open("dynex-sweep "+strings.Join(args, " "), nCells,
+		telemetry.Sinks{Report: *reportPath, TraceEvents: *traceFile, DebugAddr: *debugAddr},
+		policy.Names(), stderr)
+	if err != nil {
+		return err
 	}
+	defer finish()
 
-	// A typed-nil *Collector must not become a non-nil interface.
-	var engCol engine.Collector
-	var book grid.Book
-	if col != nil {
-		engCol, book = col, col
-	}
 	// Resume: cells already in the journal are restored; only the
 	// remainder is scheduled.
 	var journal *checkpoint.Journal
@@ -239,50 +206,37 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		defer journal.Close()
 	}
-	merged, pending := plan.Restore(journal, book)
-	if col != nil {
-		col.SetTotal(len(pending))
-	}
+	merged, pending := plan.Restore(journal, col)
+	col.SetTotal(len(pending))
 	if journal != nil && len(pending) < nCells {
 		fmt.Fprintf(stderr, "dynex-sweep: resuming: %d of %d cells journaled, %d to run\n",
 			nCells-len(pending), nCells, len(pending))
 	}
 
-	var report func(done, total int)
-	if *progress {
-		report = func(done, total int) {
-			if eta := col.ETA(done, total); eta > 0 {
-				rate := col.Snapshot().CellsPerSec
-				fmt.Fprintf(stderr, "\r%d/%d cells (%.1f cells/s, ETA %s)", done, total, rate, eta.Round(time.Second))
-				return
-			}
-			fmt.Fprintf(stderr, "\r%d/%d cells", done, total)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}
-	}
-
 	// The sweep context is cancelled early when -max-failures is hit.
 	sweepCtx, bail := context.WithCancel(ctx)
 	defer bail()
-	failures, bailed := 0, false
+	failures, bailed, done := 0, false, 0
 
 	// Size columns (DESIGN.md §15) change scheduling only: results,
 	// journal records, and CSV bytes are pinned to the per-cell path.
 	runErr := plan.Run(sweepCtx, merged, pending, grid.RunOptions{
 		Engine: engine.Options{
 			Workers:     *workers,
-			Progress:    report,
 			Retry:       engine.Retry{Attempts: *retries + 1},
 			CellTimeout: *cellTimeout,
-			Collector:   engCol,
+			Collector:   col,
 		},
 		Journal: journal,
-		Book:    book,
+		Book:    col,
 		Skip:    skip,
 		OnCell: func(_ int, r engine.Result, appendErr error) {
-			// Serialized by the engine: no locking needed here.
+			// Serialized by the engine: no locking needed here, and the
+			// progress count only moves forward.
+			done++
+			if *progress {
+				printProgress(stderr, col, done, len(pending))
+			}
 			if appendErr != nil {
 				fmt.Fprintf(stderr, "dynex-sweep: checkpoint: %v\n", appendErr)
 			}
@@ -323,6 +277,20 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("aborted after %d cell failures (-max-failures=%d)", failures, *maxFailures)
 	}
 	return fmt.Errorf("%d of %d cells failed", len(failed), nCells)
+}
+
+// printProgress rewrites the -progress line on stderr: cells done of
+// total, with the observed rate and an ETA once there is one.
+func printProgress(stderr io.Writer, col *telemetry.Collector, done, total int) {
+	if eta := col.ETA(done, total); eta > 0 {
+		rate := col.Snapshot().CellsPerSec
+		fmt.Fprintf(stderr, "\r%d/%d cells (%.1f cells/s, ETA %s)", done, total, rate, eta.Round(time.Second))
+		return
+	}
+	fmt.Fprintf(stderr, "\r%d/%d cells", done, total)
+	if done == total {
+		fmt.Fprintln(stderr)
+	}
 }
 
 func parseUints(s string) ([]uint64, error) {

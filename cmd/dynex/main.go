@@ -18,11 +18,10 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/hierarchy"
-	"repro/internal/obs"
 	"repro/internal/patterns"
 	"repro/internal/policy"
 	"repro/internal/spec"
@@ -105,61 +104,48 @@ func run(ctx context.Context) error {
 	geom := cache.DM(*size, *line)
 	fmt.Printf("workload: %s (%d refs)\ncache:    %s, policy %s\n\n", desc, len(streamRefs), geom, pspec)
 
-	// -report: one telemetry cell covering the whole simulation, so the
-	// single-run CLI shares the batch drivers' RunReport format.
-	var col *telemetry.Collector
-	if *reportPath != "" || *debugAddr != "" {
-		col = telemetry.NewCollector(1)
-	}
-	if *debugAddr != "" {
-		col.SetInstruments(telemetry.DefaultInstruments(policy.Names()))
-		addr, err := obs.ServeDebug(*debugAddr, obs.Default)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dynex: debug server on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof/)\n", addr)
-	}
-	simStart := time.Now()
-	writeReport := func() error {
-		if col == nil {
-			return nil
-		}
-		col.RecordCell(desc+"/"+*policyStr, time.Since(simStart), uint64(len(streamRefs)), nil)
-		if *reportPath == "" {
-			return nil
-		}
-		return col.WriteReport(*reportPath, "dynex "+strings.Join(os.Args[1:], " "))
+	if *l2 != 0 && *warmup != 0 {
+		return fmt.Errorf("-warmup is not supported with -l2 (hierarchy counters cover the full stream)")
 	}
 
-	if *l2 != 0 {
-		if *warmup != 0 {
-			return fmt.Errorf("-warmup is not supported with -l2 (hierarchy counters cover the full stream)")
-		}
-		if err := runHierarchy(ctx, streamRefs, geom, *l2, *strategy, *lastLine, *sticky); err != nil {
-			return err
-		}
-		return writeReport()
+	// Telemetry: the simulation is booked as one cell, so the single-run
+	// CLI shares the batch drivers' RunReport format and /metrics series.
+	col, finish, err := telemetry.Open("dynex "+strings.Join(os.Args[1:], " "), 1,
+		telemetry.Sinks{Report: *reportPath, DebugAddr: *debugAddr}, policy.Names(), os.Stderr)
+	if err != nil {
+		return err
 	}
+	defer finish()
+	return engine.Observe(col, 0, desc+"/"+*policyStr, func() (uint64, error) {
+		if *l2 != 0 {
+			return uint64(len(streamRefs)), runHierarchy(ctx, streamRefs, geom, *l2, *strategy, *lastLine, *sticky)
+		}
+		return uint64(len(streamRefs)), runSingle(ctx, pspec, geom, streamRefs, *warmup)
+	})
+}
+
+// runSingle simulates one single-level cache over refs and prints its
+// stats. policy.WindowCtx runs the warmup-snapshot dance for every
+// policy, including opt's whole-stream special case, and windows the
+// policy-specific counters alongside the headline stats; the context
+// makes ^C/SIGTERM stop the drive loop at the next chunk boundary.
+func runSingle(ctx context.Context, pspec policy.Spec, geom cache.Geometry, refs []trace.Ref, warmup int) error {
 	sim, err := pspec.Build(geom)
 	if err != nil {
 		return err
 	}
-	// policy.WindowCtx runs the warmup-snapshot dance for every policy,
-	// including opt's whole-stream special case, and windows the
-	// policy-specific counters alongside the headline stats; the context
-	// makes ^C/SIGTERM stop the drive loop at the next chunk boundary.
-	m, err := policy.WindowCtx(ctx, sim, streamRefs, *warmup)
+	m, err := policy.WindowCtx(ctx, sim, refs, warmup)
 	if err != nil {
 		return err
 	}
-	if *warmup > 0 {
-		fmt.Printf("(steady state after %d warmup refs)\n", *warmup)
+	if warmup > 0 {
+		fmt.Printf("(steady state after %d warmup refs)\n", warmup)
 	}
 	fmt.Println(m.Stats)
 	if len(m.Extras) > 0 {
 		fmt.Println("counters:", formatCounters(m.Extras))
 	}
-	return writeReport()
+	return nil
 }
 
 // formatCounters renders windowed policy counters as "name=value ...".

@@ -101,15 +101,14 @@ func (c *DirectMapped) BatchAccess(refs []trace.Ref) BatchStats {
 }
 
 // BatchAccess decodes refs a BlockChunk at a time and runs each chunk
-// through AccessBlocks, the LRU or FIFO batch loop. Random victims and
-// OnEvict-hooked caches take Access once per reference instead, so RNG
-// draws and hook calls come in exactly the order scalar Access makes
-// them.
+// through AccessBlocks, the LRU or FIFO batch loop. Random victims take
+// Access once per reference instead, so RNG draws come in exactly the
+// order scalar Access makes them.
 //
 //dynexcheck:hot
 func (c *SetAssoc) BatchAccess(refs []trace.Ref) BatchStats {
 	before := c.stats
-	if c.policy == RandomRepl || c.OnEvict != nil {
+	if c.policy == RandomRepl {
 		for i := range refs {
 			c.Access(refs[i].Addr)
 		}

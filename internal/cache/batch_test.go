@@ -82,11 +82,13 @@ func TestBatchAccessEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestSetAssocBatchEvictionSequence is the eviction-notification pin:
-// for every replacement policy — RandomRepl included, with the same
-// seed — the batched kernel must displace the exact same sequence of
-// blocks through OnEvict as scalar Access, because a hooked cache's
-// misses take c.fill on both paths.
+// TestSetAssocBatchEvictionSequence pins the batch kernel against
+// scalar Access for every replacement policy — RandomRepl included,
+// with the same seed — over a stream that evicts: the same Stats, delta
+// sums that add up to them, and the same final set contents, so every
+// victim the batch loop picked left the way scalar Access would have.
+// TestSetAssocMatchesReference checks each victim at the step that
+// picks it.
 func TestSetAssocBatchEvictionSequence(t *testing.T) {
 	geom := Geometry{Size: 1 << 9, LineSize: 8, Ways: 4}
 	refs := batchRefs(2, 6000)
@@ -94,16 +96,12 @@ func TestSetAssocBatchEvictionSequence(t *testing.T) {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			const seed = 99
-			var scalarEv, batchEv []uint64
-
 			scalar := MustSetAssoc(geom, pol, seed)
-			scalar.OnEvict = func(block uint64) { scalarEv = append(scalarEv, block) }
 			for _, r := range refs {
 				scalar.Access(r.Addr)
 			}
 
 			batched := MustSetAssoc(geom, pol, seed)
-			batched.OnEvict = func(block uint64) { batchEv = append(batchEv, block) }
 			sum := raggedBatches(t, batched, refs)
 
 			if scalar.Stats() != batched.Stats() {
@@ -112,17 +110,8 @@ func TestSetAssocBatchEvictionSequence(t *testing.T) {
 			if sum != batched.Stats() {
 				t.Errorf("delta sum %+v != cumulative %+v", sum, batched.Stats())
 			}
-			if len(scalarEv) == 0 {
+			if scalar.Stats().Evictions == 0 {
 				t.Fatal("stream produced no evictions; the pin is vacuous")
-			}
-			if !reflect.DeepEqual(scalarEv, batchEv) {
-				t.Errorf("eviction sequences diverged: scalar %d evictions, batch %d", len(scalarEv), len(batchEv))
-				for i := 0; i < len(scalarEv) && i < len(batchEv); i++ {
-					if scalarEv[i] != batchEv[i] {
-						t.Errorf("first divergence at eviction %d: scalar block %#x, batch block %#x", i, scalarEv[i], batchEv[i])
-						break
-					}
-				}
 			}
 			if !reflect.DeepEqual(scalar.tags, batched.tags) || !reflect.DeepEqual(scalar.wave, batched.wave) {
 				t.Error("final set contents (tags/waves) diverged")

@@ -192,18 +192,6 @@ func TestSetAssocHelpers(t *testing.T) {
 	}
 }
 
-func TestSetAssocOnEvict(t *testing.T) {
-	c := MustSetAssoc(Geometry{Size: 32, LineSize: 16, Ways: 2}, LRU, 1)
-	var ev []uint64
-	c.OnEvict = func(b uint64) { ev = append(ev, b) }
-	c.Access(0)
-	c.Access(16)
-	c.Access(32)
-	if len(ev) != 1 || ev[0] != 0 {
-		t.Errorf("evictions = %v, want [0]", ev)
-	}
-}
-
 func TestLRUBeatsDirectMappedOnConflicts(t *testing.T) {
 	// Property (paper §1): for conflict-heavy streams, a 2-way LRU cache
 	// of the same size never has more misses than direct-mapped.

@@ -65,10 +65,6 @@ type SetAssoc struct {
 	mra   []uint64
 	rng   *rand.Rand // RandomRepl only
 	stats Stats
-
-	// OnEvict, if non-nil, receives the block number of each displaced
-	// valid block.
-	OnEvict func(block uint64)
 }
 
 // NewSetAssoc returns a set-associative cache. seed feeds the RandomRepl
@@ -152,9 +148,8 @@ func (c *SetAssoc) Access(addr uint64) Result {
 }
 
 // fill places block, which set does not hold, reporting whether a valid
-// way was displaced. The OnEvict hook sees the displaced block before
-// its way is overwritten. A FIFO set's MRA word moves to block, so it
-// never names the block a fill displaced.
+// way was displaced. A FIFO set's MRA word moves to block, so it never
+// names the block a fill displaced.
 func (c *SetAssoc) fill(set, block uint64) bool {
 	if c.mra != nil {
 		c.mra[set] = block
@@ -184,9 +179,6 @@ func (c *SetAssoc) fill(set, block uint64) bool {
 		c.wave[set] = uint32(wave)
 	case RandomRepl:
 		victim = uint64(c.rng.Intn(int(ways)))
-	}
-	if c.OnEvict != nil {
-		c.OnEvict(st[victim])
 	}
 	if c.policy == LRU {
 		toFront(st, victim, block)
@@ -218,8 +210,8 @@ func (c *SetAssoc) Decode(dst []uint64, refs []trace.Ref) []uint64 {
 // the same line size and ways it is the most recently accessed block
 // of its set at every larger power-of-two size too (MRA residency
 // nests, DEW arXiv:1506.03181), so a size column hands only the failed
-// blocks on to its next member. The cache must have no OnEvict hook and
-// must not be RandomRepl: BatchAccess sends those through Access.
+// blocks on to its next member. The cache must not be RandomRepl:
+// BatchAccess sends random victims through Access.
 func (c *SetAssoc) AccessBlocks(blocks []uint64) []uint64 {
 	if c.policy == LRU {
 		return c.lruBlocks(blocks)

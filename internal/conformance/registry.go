@@ -11,9 +11,10 @@ import (
 // CheckRegistry runs the battery against every family in the policy
 // registry at the given geometry, so a newly registered policy is
 // conformance-checked without any test changes. Online families get the
-// full Check battery; whole-stream (Direct) families cannot be driven
-// access-by-access, so they get windowed equivalents through
-// policy.Window.
+// full Check battery, eventual hit included: every registered policy
+// must hit an address referenced often enough. Whole-stream (Direct)
+// families cannot be driven access-by-access, so they get windowed
+// equivalents through policy.Window.
 func CheckRegistry(t *testing.T, geom cache.Geometry, opts Options) {
 	t.Helper()
 	if opts.Streams == 0 {
@@ -41,7 +42,7 @@ func CheckRegistry(t *testing.T, geom cache.Geometry, opts Options) {
 			return sim
 		}
 		o := opts
-		o.EventualHit = f.EventualHit
+		o.EventualHit = true
 		Check(t, f.Name, o, mk)
 	}
 }

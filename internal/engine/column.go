@@ -65,10 +65,9 @@ type Group struct {
 // stream, cells covered by no group run individually as one-member
 // units, and Results[i] describes Cells[i] either way. Groups must
 // reference distinct in-range cells and carry a constructor; a
-// malformed group set is an error before anything runs. Progress counts cells, not units — a
-// finishing column advances done by its member count in one serialized
-// callback, and done is computed under the same lock that orders the
-// callbacks, so consumers never observe counts moving backwards.
+// malformed group set is an error before anything runs. A finishing
+// column reports its members to OnResult in member order, in one
+// serialized run of calls.
 func RunGrouped(ctx context.Context, cells []Cell, groups []Group, opts Options) ([]Result, error) {
 	results := make([]Result, len(cells))
 	if len(cells) == 0 {
@@ -79,27 +78,19 @@ func RunGrouped(ctx context.Context, cells []Cell, groups []Group, opts Options)
 		return nil, err
 	}
 	var (
-		progressMu sync.Mutex
-		doneCells  int
-		runStart   = time.Now()
+		resultMu sync.Mutex
+		runStart = time.Now()
 	)
 	// finish publishes a unit's completed cells: OnResult per member in
-	// member order, then one Progress call with the cumulative cell
-	// count.
+	// member order.
 	finish := func(indices ...int) {
-		if opts.Progress == nil && opts.OnResult == nil {
+		if opts.OnResult == nil {
 			return
 		}
-		progressMu.Lock()
-		defer progressMu.Unlock()
+		resultMu.Lock()
+		defer resultMu.Unlock()
 		for _, i := range indices {
-			if opts.OnResult != nil {
-				opts.OnResult(i, results[i])
-			}
-		}
-		doneCells += len(indices)
-		if opts.Progress != nil {
-			opts.Progress(doneCells, len(cells))
+			opts.OnResult(i, results[i])
 		}
 	}
 	// Every unit — a group, or one ungrouped cell as a one-member unit —

@@ -208,49 +208,6 @@ func TestRunGroupedOutcomeMismatch(t *testing.T) {
 	}
 }
 
-// TestRunGroupedProgressMonotonic pins the satellite fix: with column
-// units retiring many cells at once, the Progress done counts are
-// strictly increasing, never exceed the total, always advance by whole
-// units, and end exactly at total — no sawtooth, no over-100%.
-func TestRunGroupedProgressMonotonic(t *testing.T) {
-	cells, groups := columnGrid(4, 6) // 6 columns of 4 + 1 singleton = 25 cells
-	var mu sync.Mutex
-	var seen []int
-	results, err := RunGrouped(context.Background(), cells, groups, Options{
-		Workers: 8,
-		Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != len(cells) {
-				t.Errorf("total = %d, want %d", total, len(cells))
-			}
-			seen = append(seen, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Label, r.Err)
-		}
-	}
-	if len(seen) == 0 {
-		t.Fatal("no progress callbacks")
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i] <= seen[i-1] {
-			t.Fatalf("progress went from %d to %d (sawtooth)", seen[i-1], seen[i])
-		}
-	}
-	if last := seen[len(seen)-1]; last != len(cells) {
-		t.Errorf("final progress %d, want %d", last, len(cells))
-	}
-	if seen[len(seen)-1] > len(cells) {
-		t.Errorf("progress exceeded total")
-	}
-}
-
 // TestRunGroupedCollectorPerCell checks that a column unit still emits
 // started/attempted/finished events for every member cell.
 func TestRunGroupedCollectorPerCell(t *testing.T) {

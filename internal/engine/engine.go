@@ -95,15 +95,12 @@ type Options struct {
 	// Workers bounds in-flight cells; <= 0 means GOMAXPROCS. The bound is
 	// additionally clamped to the number of cells.
 	Workers int
-	// Progress, when non-nil, is called after each completed cell with
-	// (cells done, cells total). Calls are serialized, so the callback
-	// needs no locking of its own; keep it cheap — workers block on it.
-	Progress func(done, total int)
 	// OnResult, when non-nil, is called with each finished cell's index
 	// and Result as soon as the cell completes — before Run returns, so
-	// callers can journal results incrementally (checkpointing) or abort
-	// on failure thresholds. Calls are serialized with Progress; cells
-	// skipped after cancellation are not reported.
+	// callers can journal results incrementally (checkpointing), count
+	// progress, or abort on failure thresholds. Calls are serialized, so
+	// the callback needs no locking of its own; keep it cheap — workers
+	// block on it. Cells skipped after cancellation are not reported.
 	OnResult func(i int, r Result)
 	// Retry re-runs cells whose errors are classified transient; see the
 	// Retry type. The zero value disables retry.

@@ -155,10 +155,11 @@ func TestRunCancellation(t *testing.T) {
 		}
 	}
 	// One worker processes cells in order; cancel after the third.
+	done := 0
 	results, err := Run(ctx, cells, Options{
 		Workers: 1,
-		Progress: func(done, total int) {
-			if done == 3 {
+		OnResult: func(int, Result) {
+			if done++; done == 3 {
 				cancel()
 			}
 		},
@@ -185,40 +186,6 @@ func TestRunCancellation(t *testing.T) {
 	}
 	if ran != 3 || skipped != n-3 {
 		t.Errorf("ran %d skipped %d, want 3 and %d", ran, skipped, n-3)
-	}
-}
-
-// TestRunProgress checks the callback sees every completion exactly once,
-// monotonically, ending at (total, total).
-func TestRunProgress(t *testing.T) {
-	const n = 20
-	cells := make([]Cell, n)
-	for i := range cells {
-		cells[i] = Cell{Geometry: cache.DM(64, 4), Policy: dmPolicy}
-	}
-	var mu sync.Mutex
-	var seen []int
-	_, err := Run(context.Background(), cells, Options{
-		Workers: 4,
-		Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != n {
-				t.Errorf("progress total = %d, want %d", total, n)
-			}
-			seen = append(seen, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != n {
-		t.Fatalf("progress called %d times, want %d", len(seen), n)
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress sequence %v not monotonic", seen)
-		}
 	}
 }
 

@@ -104,3 +104,30 @@ type Collector interface {
 	CellAttempted(CellAttempt)
 	CellFinished(CellFinish)
 }
+
+// Observe runs f as one cell of work done outside Run — a simulation
+// its caller drives itself — and reports it to col as the engine
+// reports a cell it ran: CellStarted, one CellAttempted and
+// CellFinished, with f's wall time and the outcome of its error. f
+// returns the number of references it simulated; a failed cell books
+// none, as a failed engine cell does. A nil col only runs f. Observe
+// returns f's error.
+func Observe(col Collector, index int, label string, f func() (refs uint64, err error)) error {
+	if col == nil {
+		_, err := f()
+		return err
+	}
+	col.CellStarted(CellStart{Index: index, Label: label})
+	start := time.Now()
+	refs, err := f()
+	wall := time.Since(start)
+	outcome := OutcomeOf(err)
+	col.CellAttempted(CellAttempt{Index: index, Label: label, Attempt: 1,
+		Wall: wall, Outcome: outcome, Err: err})
+	if err != nil {
+		refs = 0
+	}
+	col.CellFinished(CellFinish{Index: index, Label: label, Wall: wall,
+		Attempts: 1, Refs: refs, Outcome: outcome, Err: err})
+	return err
+}

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/grid"
@@ -318,24 +317,15 @@ func kb(sizes []uint64) []float64 {
 func forEachBenchmark(w *Workloads, kind kindOf, f func(i int, refs []trace.Ref)) {
 	names := w.Names()
 	engine.ForEach(w.cfg.ctx(), len(names), w.cfg.workers(), func(i int) {
-		col := w.cfg.Collector
-		if col == nil {
-			f(i, kind(w, names[i]))
-			return
-		}
-		// ForEach bodies bypass the engine's cell bookkeeping, so report
-		// the per-benchmark unit of work to the collector here: one
-		// synthetic cell per benchmark, its stream length as the ref
-		// count (the body may drive several simulators over it).
+		// ForEach bodies bypass the engine's cell bookkeeping, so each
+		// benchmark's unit of work is booked as one cell, its stream
+		// length as the ref count (the body may drive several simulators
+		// over it). The body returns no error, so neither does Observe.
 		refs := kind(w, names[i])
-		col.CellStarted(engine.CellStart{Index: i, Label: names[i]})
-		start := time.Now()
-		f(i, refs)
-		wall := time.Since(start)
-		col.CellAttempted(engine.CellAttempt{Index: i, Label: names[i], Attempt: 1,
-			Wall: wall, Outcome: engine.OutcomeOK})
-		col.CellFinished(engine.CellFinish{Index: i, Label: names[i], Wall: wall,
-			Attempts: 1, Refs: uint64(len(refs)), Outcome: engine.OutcomeOK})
+		_ = engine.Observe(w.cfg.Collector, i, names[i], func() (uint64, error) {
+			f(i, refs)
+			return uint64(len(refs)), nil
+		})
 	})
 }
 

@@ -26,10 +26,6 @@ type Family struct {
 	// simulator implements WindowDirect and panics on Access, so it must
 	// be driven through policy.Window or engine.Cell.Direct.
 	Direct bool
-	// EventualHit reports whether re-referencing one address enough
-	// times must eventually hit — true for every online policy here;
-	// the conformance suite asserts it.
-	EventualHit bool
 
 	// options is the set of option keys Parse accepts for the family
 	// ("nolastline" is folded into "lastline").
@@ -61,55 +57,47 @@ func (f Family) optionList() string {
 // and contribution first, then the comparison policies.
 var families = []Family{
 	{
-		Name:        "dm",
-		Doc:         "conventional direct-mapped cache (no options)",
-		EventualHit: true,
+		Name: "dm",
+		Doc:  "conventional direct-mapped cache (no options)",
 	},
 	{
-		Name:        "de",
-		Doc:         "dynamic exclusion (sticky=N, store=table|hashed*BITS, cold=hit|miss, lastline|nolastline)",
-		Aliases:     []string{"de-hashed"},
-		EventualHit: true,
-		options:     map[string]bool{"sticky": true, "store": true, "cold": true, "lastline": true},
+		Name:    "de",
+		Doc:     "dynamic exclusion (sticky=N, store=table|hashed*BITS, cold=hit|miss, lastline|nolastline)",
+		Aliases: []string{"de-hashed"},
+		options: map[string]bool{"sticky": true, "store": true, "cold": true, "lastline": true},
 	},
 	{
-		Name:        "de-stream",
-		Doc:         "dynamic exclusion with excluded lines served by a stream buffer (§6; sticky, store, cold, depth=N)",
-		EventualHit: true,
-		options:     map[string]bool{"sticky": true, "store": true, "cold": true, "depth": true},
+		Name:    "de-stream",
+		Doc:     "dynamic exclusion with excluded lines served by a stream buffer (§6; sticky, store, cold, depth=N)",
+		options: map[string]bool{"sticky": true, "store": true, "cold": true, "depth": true},
 	},
 	{
-		Name:        "opt",
-		Doc:         "Belady-optimal direct-mapped with bypass, needs the whole stream (lastline|nolastline)",
-		Direct:      true,
-		EventualHit: true,
-		options:     map[string]bool{"lastline": true},
+		Name:    "opt",
+		Doc:     "Belady-optimal direct-mapped with bypass, needs the whole stream (lastline|nolastline)",
+		Direct:  true,
+		options: map[string]bool{"lastline": true},
 	},
 	{
-		Name:        "lru",
-		Doc:         "set-associative LRU (ways=N)",
-		Aliases:     []string{"lru2", "lru4"},
-		EventualHit: true,
-		options:     map[string]bool{"ways": true},
+		Name:    "lru",
+		Doc:     "set-associative LRU (ways=N)",
+		Aliases: []string{"lru2", "lru4"},
+		options: map[string]bool{"ways": true},
 	},
 	{
-		Name:        "fifo",
-		Doc:         "set-associative FIFO (ways=N)",
-		Aliases:     []string{"fifo2"},
-		EventualHit: true,
-		options:     map[string]bool{"ways": true},
+		Name:    "fifo",
+		Doc:     "set-associative FIFO (ways=N)",
+		Aliases: []string{"fifo2"},
+		options: map[string]bool{"ways": true},
 	},
 	{
-		Name:        "victim",
-		Doc:         "direct-mapped cache with a victim buffer (entries=N)",
-		EventualHit: true,
-		options:     map[string]bool{"entries": true},
+		Name:    "victim",
+		Doc:     "direct-mapped cache with a victim buffer (entries=N)",
+		options: map[string]bool{"entries": true},
 	},
 	{
-		Name:        "stream",
-		Doc:         "direct-mapped cache with a sequential stream buffer (depth=N)",
-		EventualHit: true,
-		options:     map[string]bool{"depth": true},
+		Name:    "stream",
+		Doc:     "direct-mapped cache with a sequential stream buffer (depth=N)",
+		options: map[string]bool{"depth": true},
 	},
 }
 

@@ -177,9 +177,6 @@ func TestFamiliesMetadata(t *testing.T) {
 		if f.Direct != (f.Name == "opt") {
 			t.Errorf("family %s: Direct = %v", f.Name, f.Direct)
 		}
-		if !f.EventualHit {
-			t.Errorf("family %s: EventualHit = false", f.Name)
-		}
 		for _, a := range append([]string{f.Name}, f.Aliases...) {
 			if seen[a] {
 				t.Errorf("name %q registered twice", a)

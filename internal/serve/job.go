@@ -77,6 +77,18 @@ func (js JobSpec) validate(cfg Config) error {
 	if cfg.MaxCells > 0 && cells > cfg.MaxCells {
 		return fmt.Errorf("grid has %d cells, server cap is %d", cells, cfg.MaxCells)
 	}
+	// A repeat is an identical cell with the same fingerprint that would
+	// run again; grid.CheckBenches refuses a repeated benchmark the same
+	// way. Policies compare by their literal text, as fingerprints do.
+	if err := noRepeats("size", js.Sizes); err != nil {
+		return err
+	}
+	if err := noRepeats("line", js.Lines); err != nil {
+		return err
+	}
+	if err := noRepeats("policy", js.Policies); err != nil {
+		return err
+	}
 	if js.Inject != "" && !cfg.EnableFaults {
 		return fmt.Errorf("fault injection is disabled on this server")
 	}
@@ -93,6 +105,18 @@ func (js JobSpec) validate(cfg Config) error {
 	_, err = grid.Spec{Sources: make([]grid.Source, 1),
 		Sizes: js.Sizes, Lines: js.Lines, Policies: js.Policies}.Build()
 	return err
+}
+
+// noRepeats refuses a list that names one value twice.
+func noRepeats[T comparable](what string, list []T) error {
+	seen := make(map[T]bool, len(list))
+	for _, v := range list {
+		if seen[v] {
+			return fmt.Errorf("%s %v listed more than once", what, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 // cells is the job's grid size, sources × sizes × lines × policies,

@@ -800,6 +800,9 @@ func TestServeValidation(t *testing.T) {
 		{"no source", func(j *JobSpec) { j.Benches = nil }},
 		{"unknown bench", func(j *JobSpec) { j.Benches = []string{"nope"} }},
 		{"repeated bench", func(j *JobSpec) { j.Benches = []string{"gcc", "li", "gcc"} }},
+		{"repeated size", func(j *JobSpec) { j.Sizes = []uint64{1024, 2048, 1024} }},
+		{"repeated line", func(j *JobSpec) { j.Lines = []uint64{4, 4} }},
+		{"repeated policy", func(j *JobSpec) { j.Policies = []string{"opt", "dm", "opt"} }},
 		{"bad policy", func(j *JobSpec) { j.Policies = []string{"wat:x=1"} }},
 		{"bad kind", func(j *JobSpec) { j.Kind = "bogus" }},
 		{"refs cap", func(j *JobSpec) { j.Refs = 1_000_000 }},

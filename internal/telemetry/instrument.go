@@ -103,12 +103,12 @@ var (
 	defaultInst     *Instruments
 )
 
-// DefaultInstruments returns the process-wide Instruments on
-// obs.Default, registering on first call. CLIs call it once per run
-// from possibly re-entered main seams (tests drive sweep() repeatedly
-// in one process), so registration is idempotent; the families set is
-// fixed by the first caller.
-func DefaultInstruments(families []string) *Instruments {
+// defaultInstruments returns the process-wide Instruments on
+// obs.Default, registering on first call. Open calls it once per run
+// with a debug address, from possibly re-entered main seams (tests
+// drive a CLI repeatedly in one process), so registration is
+// idempotent; the families set is fixed by the first caller.
+func defaultInstruments(families []string) *Instruments {
 	defaultInstOnce.Do(func() { defaultInst = NewInstruments(obs.Default, families) })
 	return defaultInst
 }

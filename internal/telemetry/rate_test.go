@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // TestSafeRate pins the clamp: zero, negative, and pathological windows
@@ -39,7 +41,7 @@ func TestSafeRate(t *testing.T) {
 // fail the whole -report write.
 func TestReportMarshalsOnZeroDurationWindow(t *testing.T) {
 	c := NewCollector(1)
-	c.RecordCell("cell", 0, 12345, nil)
+	_ = engine.Observe(c, 0, "cell", func() (uint64, error) { return 12345, nil })
 	// Force a non-positive elapsed window: the monotonic clock cannot be
 	// frozen from a test, so point start into the future.
 	c.mu.Lock()

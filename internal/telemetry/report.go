@@ -175,9 +175,9 @@ func (c *Collector) Report() RunReport {
 	return r
 }
 
-// WriteReport marshals the report (with the given command line recorded)
+// writeReport marshals the report (with the given command line recorded)
 // as indented JSON to path.
-func (c *Collector) WriteReport(path, command string) error {
+func (c *Collector) writeReport(path, command string) error {
 	r := c.Report()
 	r.Command = command
 	data, err := json.MarshalIndent(r, "", "  ")

@@ -52,10 +52,6 @@ func SpansOf(events []Event) ([]obs.Span, error) {
 			if i, ok := open[ev.Span]; ok {
 				spans[i].DurMS = ev.AtMS - spans[i].StartMS
 				delete(open, ev.Span)
-			} else {
-				// RecordCell path: no start event; derive it from the wall.
-				spans = append(spans, obs.Span{ID: ev.Span, Parent: ev.Parent, Kind: obs.KindCell,
-					Name: ev.Cell, StartMS: ev.AtMS - ev.WallMS, DurMS: ev.WallMS})
 			}
 		case EventCellAttempt:
 			spans = append(spans, obs.Span{ID: ev.Span, Parent: ev.Parent, Kind: obs.KindAttempt,

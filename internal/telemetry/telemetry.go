@@ -39,9 +39,10 @@ type cellRecord struct {
 }
 
 // Collector accumulates run telemetry. It implements engine.Collector, so
-// it plugs directly into engine.Options.Collector; CLIs additionally feed
-// it checkpoint activity (CheckpointHit/Miss/Write) and out-of-engine
-// work (RecordCell). All methods are goroutine-safe.
+// it plugs directly into engine.Options.Collector (and engine.Observe
+// books work done outside the engine through the same events); CLIs
+// additionally feed it checkpoint activity (CheckpointHit/Miss/Write).
+// All methods are goroutine-safe.
 type Collector struct {
 	mu    sync.Mutex
 	start time.Time
@@ -148,37 +149,16 @@ func (c *Collector) CellAttempted(ev engine.CellAttempt) {
 		WallMS: ms(ev.Wall), Outcome: ev.Outcome, Err: errString(ev.Err)})
 }
 
-// CellFinished implements engine.Collector.
+// CellFinished implements engine.Collector. The finish event reuses the
+// span CellStarted allocated for the index.
 func (c *Collector) CellFinished(ev engine.CellFinish) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.inst.cellExtras(ev.Label, ev.Extras)
-	c.record(cellRecord{
+	rec := cellRecord{
 		label: ev.Label, queueWait: ev.QueueWait, wall: ev.Wall,
 		attempts: ev.Attempts, refs: ev.Refs, outcome: ev.Outcome, err: errString(ev.Err),
-	}, ev.Index)
-}
-
-// RecordCell ingests one manually timed unit of work — CLIs that run a
-// single simulation outside the engine (cmd/dynex) report through it so
-// every command shares the RunReport format.
-func (c *Collector) RecordCell(label string, wall time.Duration, refs uint64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.started++
-	c.attempts++
-	c.inst.cellStarted(0)
-	c.record(cellRecord{
-		label: label, wall: wall, attempts: 1, refs: refs,
-		outcome: engine.OutcomeOf(err), err: errString(err),
-	}, -1)
-}
-
-// record books one finished cell. Callers hold c.mu. The finish event
-// reuses the span CellStarted allocated for the index; out-of-engine
-// cells (RecordCell, index -1) get a fresh span whose start SpansOf
-// derives from the wall time.
-func (c *Collector) record(rec cellRecord, index int) {
+	}
 	c.cells = append(c.cells, rec)
 	c.finished++
 	c.byOut[rec.outcome]++
@@ -187,14 +167,10 @@ func (c *Collector) record(rec cellRecord, index int) {
 		c.failed++
 	}
 	c.inst.cellFinished(rec.wall, rec.refs, rec.label, rec.outcome)
-	span, ok := c.cellSpans[index]
-	if ok {
-		delete(c.cellSpans, index)
-	} else {
-		span = c.nextSpanLocked()
-	}
+	span := c.cellSpans[ev.Index]
+	delete(c.cellSpans, ev.Index)
 	c.emit(Event{T: EventCellFinish, Span: span, Parent: runSpanID,
-		Cell: rec.label, Index: index, Attempt: rec.attempts,
+		Cell: rec.label, Index: ev.Index, Attempt: rec.attempts,
 		QueueMS: ms(rec.queueWait), WallMS: ms(rec.wall), Refs: rec.refs,
 		Outcome: rec.outcome, Err: rec.err})
 }
@@ -321,8 +297,8 @@ func safeRate(n, secs float64) float64 {
 	return r
 }
 
-// ETA estimates time remaining from the done/total pair a Progress
-// callback receives and the collector's observed rate (0 when unknown).
+// ETA estimates time remaining from a progress meter's done/total cell
+// counts and the collector's observed rate (0 when unknown).
 func (c *Collector) ETA(done, total int) time.Duration {
 	if done <= 0 || done >= total {
 		return 0

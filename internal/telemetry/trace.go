@@ -67,16 +67,16 @@ type TraceWriter struct {
 }
 
 // NewTraceWriter wraps an existing sink. The caller keeps ownership of w
-// (Close flushes but only closes files opened by OpenTrace) and must not
+// (Close flushes but only closes files opened by openTrace) and must not
 // write to w directly while the TraceWriter is live — events are batched
 // in the writer's buffer until Flush or Close.
 func NewTraceWriter(w io.Writer) *TraceWriter {
 	return &TraceWriter{start: time.Now(), buf: bufio.NewWriterSize(w, traceBufSize)}
 }
 
-// OpenTrace creates (truncating) the trace file at path with a buffered
+// openTrace creates (truncating) the trace file at path with a buffered
 // writer; Close flushes and closes it.
-func OpenTrace(path string) (*TraceWriter, error) {
+func openTrace(path string) (*TraceWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
@@ -119,7 +119,7 @@ func (t *TraceWriter) flushLocked() {
 	}
 }
 
-// Close flushes and (for OpenTrace writers) closes the sink, returning
+// Close flushes and (for openTrace writers) closes the sink, returning
 // the first error the writer ran into.
 func (t *TraceWriter) Close() error {
 	t.mu.Lock()

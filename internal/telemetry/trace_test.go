@@ -22,7 +22,7 @@ import (
 func TestTraceConcurrentEmitTornReader(t *testing.T) {
 	const writers, perWriter = 8, 200
 	path := filepath.Join(t.TempDir(), "events.jsonl")
-	tw, err := OpenTrace(path)
+	tw, err := openTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
