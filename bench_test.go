@@ -41,6 +41,21 @@ func workloads(b *testing.B) *experiments.Workloads {
 	return wl
 }
 
+// freshWorkloads builds a reduced workload cache with its instruction
+// streams generated, outside the timer. Workloads computes each shared
+// sweep (Figure 4's, the §5 hierarchy's, Assoc's) once, so a benchmark
+// of a sweep's view needs a fresh cache per iteration or it times a
+// memo hit.
+func freshWorkloads(b *testing.B) *experiments.Workloads {
+	b.StopTimer()
+	defer b.StartTimer()
+	w := experiments.NewWorkloads(experiments.Config{Refs: benchRefs})
+	for _, name := range w.Names() {
+		w.Instr(name)
+	}
+	return w
+}
+
 func BenchmarkSec3(b *testing.B) {
 	var r experiments.Sec3Result
 	for i := 0; i < b.N; i++ {
@@ -62,11 +77,9 @@ func BenchmarkFig03(b *testing.B) {
 }
 
 func BenchmarkFig04(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig04Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig04(w)
+		r = experiments.Fig04(freshWorkloads(b))
 	}
 	if y, ok := r.DE.At(32); ok {
 		b.ReportMetric(y, "DE-miss%@32K")
@@ -74,11 +87,9 @@ func BenchmarkFig04(b *testing.B) {
 }
 
 func BenchmarkFig05(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig05Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig05(w)
+		r = experiments.Fig05(freshWorkloads(b))
 	}
 	x, y := r.DE.PeakY()
 	b.ReportMetric(y, "DE-peak-reduction%")
@@ -86,11 +97,9 @@ func BenchmarkFig05(b *testing.B) {
 }
 
 func BenchmarkFig07(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig07Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig07(w)
+		r = experiments.Fig07(freshWorkloads(b))
 	}
 	// assume-hit L1 miss rate at the x4 point the paper highlights.
 	if y, ok := r.L1[1].At(4); ok {
@@ -99,11 +108,9 @@ func BenchmarkFig07(b *testing.B) {
 }
 
 func BenchmarkFig08(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig08Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig08(w)
+		r = experiments.Fig08(freshWorkloads(b))
 	}
 	if y, ok := r.L2Global[2].At(4); ok { // assume-miss
 		b.ReportMetric(y, "assumemiss-L2-global%@x4")
@@ -111,11 +118,9 @@ func BenchmarkFig08(b *testing.B) {
 }
 
 func BenchmarkFig09(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.Fig09Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig09(w)
+		r = experiments.Fig09(freshWorkloads(b))
 	}
 	base, _ := r.L2Global[0].At(4)
 	am, _ := r.L2Global[2].At(4)
@@ -185,11 +190,9 @@ func BenchmarkFig15(b *testing.B) {
 }
 
 func BenchmarkAssoc(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.AssocResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.Assoc(w)
+		r = experiments.Assoc(freshWorkloads(b))
 	}
 	if y, ok := r.GapClosed().At(16); ok {
 		b.ReportMetric(y, "gap-closed%@16K")
@@ -197,11 +200,9 @@ func BenchmarkAssoc(b *testing.B) {
 }
 
 func BenchmarkAmat(b *testing.B) {
-	w := workloads(b)
-	b.ResetTimer()
 	var r experiments.AmatResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.Amat(w)
+		r = experiments.Amat(freshWorkloads(b))
 	}
 	b.ReportMetric(r.DESpeedupOverDMAt32K, "DE-speedup@32K")
 }

@@ -195,9 +195,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if err != nil {
 			return err
 		}
-		// A cancellation mid-experiment can leave a partially computed
-		// result (skipped benchmarks render as zeros): never print or
-		// journal it.
+		// A cancelled experiment panics instead of returning a partial
+		// result; a cancellation that lands just after it finished still
+		// stops the run before the output is printed or journaled.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("interrupted: %w", err)
 		}

@@ -66,10 +66,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := sweep(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		fmt.Fprintln(os.Stderr, "dynex-sweep:", err)
 		os.Exit(1)
 	}
 }
+
+// errUsage marks a bad flag, already reported on stderr with the usage:
+// main exits with status 2, as the flag package does.
+var errUsage = errors.New("usage error")
 
 // sweep is the whole command behind a testable seam: flags in args,
 // CSV to stdout, diagnostics to stderr, non-nil error for a non-zero exit.
@@ -98,7 +105,10 @@ func sweep(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060) during the sweep")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the usage is the output
+		}
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 
 	// -list-policies is the registry inventory, machine-readable so CI can

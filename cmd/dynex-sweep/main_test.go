@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -280,6 +281,23 @@ func TestSweepProgressRate(t *testing.T) {
 func TestSweepTraceSummaryErrors(t *testing.T) {
 	if _, _, err := runSweep(t, "-trace-summary", filepath.Join(t.TempDir(), "nope.jsonl")); err == nil {
 		t.Error("missing trace file: want an error")
+	}
+}
+
+// TestSweepUsage pins the flag exit paths: -h prints the usage and
+// succeeds, and an unknown flag is a usage error (main exits 2) whose
+// usage is printed once and nothing is simulated.
+func TestSweepUsage(t *testing.T) {
+	stdout, stderr, err := runSweep(t, "-h")
+	if err != nil || strings.Count(stderr, "Usage of dynex-sweep") != 1 || stdout != "" {
+		t.Errorf("-h: err = %v, stdout = %q, stderr = %q; want the usage once and no error", err, stdout, stderr)
+	}
+	stdout, stderr, err = runSweep(t, "-bench", "gcc", "-nope")
+	if !errors.Is(err, errUsage) {
+		t.Errorf("unknown flag: err = %v, want the usage error", err)
+	}
+	if strings.Count(stderr, "Usage of dynex-sweep") != 1 || !strings.Contains(stderr, "-nope") || stdout != "" {
+		t.Errorf("unknown flag: stdout = %q, stderr = %q; want the usage once", stdout, stderr)
 	}
 }
 

@@ -22,7 +22,8 @@ type AmatResult struct {
 	DESpeedupOverLRU2At32K float64
 }
 
-// Amat computes AMAT curves from the Assoc miss-rate sweep.
+// Amat computes AMAT curves from the Assoc miss-rate sweep, which it
+// views without rerunning.
 func Amat(w *Workloads) AmatResult {
 	miss := Assoc(w)
 	m := timing.Default()

@@ -17,8 +17,10 @@ type AssocResult struct {
 }
 
 // Assoc runs the associativity comparison over the standard size axis at
-// 4-byte lines.
-func Assoc(w *Workloads) AssocResult {
+// 4-byte lines, once per Workloads; Amat views the same result.
+func Assoc(w *Workloads) AssocResult { return w.assoc() }
+
+func assocSweep(w *Workloads) AssocResult {
 	sizes := standardSizes()
 	avg := suiteMeans(w, instrKind, sizes, []uint64{4}, "dm", "de:nolastline", "lru:ways=2", "lru:ways=4")
 	c := curves(avg, kb(sizes), "direct-mapped", "dynamic exclusion", "2-way LRU", "4-way LRU")

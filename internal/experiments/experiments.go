@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,30 +72,32 @@ func (c Config) ctx() context.Context {
 }
 
 // Workloads lazily collects and caches the suite's reference streams so
-// that figures sharing a stream do not regenerate it. It is goroutine-
-// safe: engine workers materialize streams concurrently on first use, and
-// each stream is generated exactly once (per-stream sync.Once, with the
-// entry map guarded by a mutex).
+// that figures sharing a stream do not regenerate it, and computes each
+// sweep that more than one experiment views at most once: Figure 4's
+// size sweep (Figures 4 and 5, Sensitivity's canonical curve), hierSweep
+// (Figures 7–9) and the associativity sweep (Assoc and Amat). It is
+// goroutine-safe: engine workers materialize streams concurrently on
+// first use, and each stream and sweep is a sync.OnceValue, so it is
+// computed exactly once, a caller arriving mid-computation waits for it,
+// and one that panicked (a cancelled run) panics again for every later
+// caller instead of handing back a zero value. Views read a shared sweep
+// without modifying it: its series share their Points slices.
 type Workloads struct {
 	cfg   Config
 	suite []spec.Benchmark
 
 	mu      sync.Mutex
-	streams map[streamKey]*streamEntry
+	streams map[streamKey]func() []trace.Ref
+
+	fig04 func() Fig04Result
+	hier  func() HierResult
+	assoc func() AssocResult
 }
 
 // streamKey identifies one cached stream.
 type streamKey struct {
 	kind string // "instr", "data", or "mixed"
 	name string // benchmark name
-}
-
-// streamEntry materializes one stream exactly once, without holding the
-// Workloads mutex during generation (so independent streams generate in
-// parallel while callers of the same stream block only on its Once).
-type streamEntry struct {
-	once sync.Once
-	refs []trace.Ref
 }
 
 // NewWorkloads returns an empty cache over the standard suite (or a
@@ -109,11 +112,11 @@ func NewWorkloads(cfg Config) *Workloads {
 			suite = append(suite, spec.MustBuild(p))
 		}
 	}
-	return &Workloads{
-		cfg:     cfg,
-		suite:   suite,
-		streams: map[streamKey]*streamEntry{},
-	}
+	w := &Workloads{cfg: cfg, suite: suite, streams: map[streamKey]func() []trace.Ref{}}
+	w.fig04 = sync.OnceValue(func() Fig04Result { return fig04Sweep(w) })
+	w.hier = sync.OnceValue(func() HierResult { return hierSweep(w) })
+	w.assoc = sync.OnceValue(func() AssocResult { return assocSweep(w) })
+	return w
 }
 
 // Suite returns the benchmarks.
@@ -141,17 +144,17 @@ func (w *Workloads) find(name string) spec.Benchmark {
 }
 
 // stream returns the cached stream for key, generating it (exactly once,
-// even under concurrent callers) with gen on first use.
+// even under concurrent callers) with gen on first use. The mutex guards
+// only the map, so independent streams generate in parallel.
 func (w *Workloads) stream(key streamKey, gen func() []trace.Ref) []trace.Ref {
 	w.mu.Lock()
-	e := w.streams[key]
-	if e == nil {
-		e = &streamEntry{}
-		w.streams[key] = e
+	get := w.streams[key]
+	if get == nil {
+		get = sync.OnceValue(gen)
+		w.streams[key] = get
 	}
 	w.mu.Unlock()
-	e.once.Do(func() { e.refs = gen() })
-	return e.refs
+	return get()
 }
 
 // Instr returns (and caches) the benchmark's instruction stream.
@@ -175,12 +178,12 @@ func (w *Workloads) Mixed(name string) []trace.Ref {
 	})
 }
 
-// Release drops all cached streams (the per-figure drivers in bench mode
-// use it to bound memory). Concurrent stream readers started before the
-// call keep their slices; later lookups regenerate.
+// Release drops all cached streams (Sensitivity uses it to bound
+// memory). Concurrent stream readers started before the call keep their
+// slices; later lookups regenerate. Computed sweeps are kept.
 func (w *Workloads) Release() {
 	w.mu.Lock()
-	w.streams = map[streamKey]*streamEntry{}
+	w.streams = map[streamKey]func() []trace.Ref{}
 	w.mu.Unlock()
 }
 
@@ -308,25 +311,36 @@ func kb(sizes []uint64) []float64 {
 	return xs
 }
 
-// forEachBenchmark runs f for every benchmark across the engine's bounded
-// worker pool, for the simulators the policy registry does not build
-// (the §5 hierarchy, the write-policy wrappers and profile-trained static
-// exclusion). Streams materialize lazily inside the workers, so
-// generation itself is parallel. f receives the suite index so callers
-// write into pre-sized slices.
-func forEachBenchmark(w *Workloads, kind kindOf, f func(i int, refs []trace.Ref)) {
+// forEachBenchmark runs sim once per (configuration, benchmark) pair,
+// for the simulators the policy registry does not build (the §5
+// hierarchy, the write-policy wrappers and profile-trained static
+// exclusion), and returns each configuration's suite means: sim(c, refs)
+// returns its m measurements of configuration c, and avg[c*m+k] is the
+// mean of measurement k over the benchmarks, taken in suite order. All
+// configs × benchmarks simulations run in one engine.ForEach pass, each
+// booked as one cell with its own index (the collector keys in-flight
+// spans by index), its stream length as the ref count; streams
+// materialize lazily inside the workers. A cancelled run panics with an
+// error wrapping the context error, as runGrid does, so no partial sweep
+// is kept.
+func forEachBenchmark(w *Workloads, kind kindOf, configs int, sim func(c int, refs []trace.Ref) []float64) []float64 {
 	names := w.Names()
-	engine.ForEach(w.cfg.ctx(), len(names), w.cfg.workers(), func(i int) {
-		// ForEach bodies bypass the engine's cell bookkeeping, so each
-		// benchmark's unit of work is booked as one cell, its stream
-		// length as the ref count (the body may drive several simulators
-		// over it). The body returns no error, so neither does Observe.
+	n := len(names)
+	got := make([][]float64, n*configs) // benchmark-major, as means expects
+	err := engine.ForEach(w.cfg.ctx(), len(got), w.cfg.workers(), func(j int) {
+		c, i := j/n, j%n
 		refs := kind(w, names[i])
-		_ = engine.Observe(w.cfg.Collector, i, names[i], func() (uint64, error) {
-			f(i, refs)
+		// ForEach bodies bypass the engine's cell bookkeeping; the body
+		// returns no error, so neither does Observe.
+		_ = engine.Observe(w.cfg.Collector, j, names[i], func() (uint64, error) {
+			got[i*configs+c] = sim(c, refs)
 			return uint64(len(refs)), nil
 		})
 	})
+	if err != nil {
+		panic(fmt.Errorf("experiments: %w", err))
+	}
+	return means(slices.Concat(got...), n)
 }
 
 // sweepAverages computes suite-average miss-rate curves for the three

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -143,14 +145,21 @@ func TestSeedOffsetVariesWorkloadsButKeepsShape(t *testing.T) {
 	}
 }
 
+// TestWorkloadsUnknownBenchmarkPanics asks for an unknown benchmark's
+// stream twice: the failed generation is cached as a panic, never as an
+// empty stream, so both lookups panic.
 func TestWorkloadsUnknownBenchmarkPanics(t *testing.T) {
 	w := testWorkloads(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unknown benchmark")
-		}
-	}()
-	w.Instr("quake")
+	for try := 1; try <= 2; try++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("lookup %d: expected panic for unknown benchmark", try)
+				}
+			}()
+			w.Instr("quake")
+		}()
+	}
 }
 
 func TestSec3MatchesAnalytic(t *testing.T) {
@@ -231,6 +240,107 @@ func TestFig03ReportsEverySimulation(t *testing.T) {
 	}
 }
 
+// TestSharedSweepsRunOnce checks that the experiments viewing one sweep
+// share its computation on one Workloads: each group books its sweeps'
+// cells once, not once per view, one full stream per cell.
+func TestSharedSweepsRunOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment simulations")
+	}
+	const refs = 5_000
+	fig04 := func(w *Workloads) { Fig04(w) }
+	fig05 := func(w *Workloads) { Fig05(w) }
+	for _, tc := range []struct {
+		name  string
+		views []func(*Workloads)
+		cells int
+	}{
+		// 4 strategies × 7 ratios × 10 benchmarks, plus the 10 opt cells.
+		{"fig07+fig08+fig09", []func(*Workloads){
+			func(w *Workloads) { Fig07(w) }, func(w *Workloads) { Fig08(w) }, func(w *Workloads) { Fig09(w) },
+		}, 290},
+		// 10 benchmarks × 8 sizes × 3 policies.
+		{"fig04+fig05", []func(*Workloads){fig04, fig05}, 240},
+		// 10 benchmarks × 8 sizes × 4 policies.
+		{"assoc+amat", []func(*Workloads){
+			func(w *Workloads) { Assoc(w) }, func(w *Workloads) { Amat(w) },
+		}, 320},
+		// Figure 4's grid, then two seed-shifted suites' grids.
+		{"fig04+sensitivity", []func(*Workloads){fig04, func(w *Workloads) { Sensitivity(w) }}, 720},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := &countingCollector{}
+			w := NewWorkloads(Config{Refs: refs, Collector: col})
+			for _, view := range tc.views {
+				view(w)
+			}
+			if col.cells != tc.cells || col.refs != uint64(tc.cells*refs) {
+				t.Errorf("collector saw %d cells, %d refs; want %d cells, %d refs",
+					col.cells, col.refs, tc.cells, tc.cells*refs)
+			}
+		})
+	}
+}
+
+// TestSharedSweepConcurrentViews starts Figures 8 and 9 together on a
+// fresh Workloads: the view that arrives mid-sweep waits for it, so the
+// hierarchy sweep is booked once and both views see the same result.
+// CI runs it under -race.
+func TestSharedSweepConcurrentViews(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment simulations")
+	}
+	col := &countingCollector{}
+	w := NewWorkloads(Config{Refs: 5_000, Collector: col})
+	var f8 Fig08Result
+	var f9 Fig09Result
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); f8 = Fig08(w) }()
+	go func() { defer wg.Done(); f9 = Fig09(w) }()
+	wg.Wait()
+	if col.cells != 290 {
+		t.Errorf("collector saw %d cells, want 290 (one hierarchy sweep)", col.cells)
+	}
+	if &f8.L2Global[0].Points[0] != &f9.L2Global[0].Points[0] {
+		t.Error("Figures 8 and 9 hold different sweeps")
+	}
+}
+
+// TestSharedSweepCancelled runs two views of each shared sweep under a
+// cancelled context: the first panics with an error wrapping
+// context.Canceled, and the second panics with that same error, the
+// sweep's recorded panic, instead of reading a zero result. Writes, whose
+// only simulations run through forEachBenchmark, panics too rather than
+// returning a partial sweep.
+func TestSharedSweepCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := NewWorkloads(Config{Refs: 1_000, Ctx: ctx})
+	panicOf := func(view func()) (err error) {
+		defer func() { err, _ = recover().(error) }()
+		view()
+		return nil
+	}
+	for _, pair := range []struct {
+		name          string
+		first, second func()
+	}{
+		{"fig07,fig09", func() { Fig07(w) }, func() { Fig09(w) }},
+		{"fig04,fig05", func() { Fig04(w) }, func() { Fig05(w) }},
+		{"assoc,amat", func() { Assoc(w) }, func() { Amat(w) }},
+		{"fig05,sensitivity", func() { Fig05(w) }, func() { Sensitivity(w) }},
+	} {
+		first, second := panicOf(pair.first), panicOf(pair.second)
+		if !errors.Is(first, context.Canceled) || second != first {
+			t.Errorf("%s: panics %v and %v; want one error wrapping context.Canceled, twice", pair.name, first, second)
+		}
+	}
+	if err := panicOf(func() { Writes(w) }); !errors.Is(err, context.Canceled) {
+		t.Errorf("writes: panic %v, want an error wrapping context.Canceled", err)
+	}
+}
+
 // TestSec3RunsOnTheRunsConfig runs the registry's sec3 entry as
 // dynex-experiments does and requires its collector to see all 12
 // simulations: 4 patterns × dm, de:cold=miss and opt:nolastline.
@@ -267,7 +377,7 @@ func TestFig04And05Shape(t *testing.T) {
 		}
 		last = p.Y
 	}
-	f5 := Fig05FromFig04(f4)
+	f5 := Fig05(w)
 	_, peak := f5.DE.PeakY()
 	if peak < 5 {
 		t.Errorf("DE peak reduction %.1f%%, want >= 5%%", peak)

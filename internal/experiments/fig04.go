@@ -14,8 +14,11 @@ type Fig04Result struct {
 }
 
 // Fig04 reproduces Figure 4: average instruction-cache miss rate across
-// the benchmarks for a range of cache sizes (b = 4B).
-func Fig04(w *Workloads) Fig04Result {
+// the benchmarks for a range of cache sizes (b = 4B). The sweep runs
+// once per Workloads; Figure 5 and Sensitivity view the same result.
+func Fig04(w *Workloads) Fig04Result { return w.fig04() }
+
+func fig04Sweep(w *Workloads) Fig04Result {
 	dm, de, op := sweepAverages(w, instrKind, standardSizes(), 4, false)
 	return Fig04Result{DM: dm, DE: de, OPT: op}
 }
@@ -48,14 +51,10 @@ type Fig05Result struct {
 
 // Fig05 reproduces Figure 5: the percentage reduction from the normal
 // direct-mapped miss rate for dynamic exclusion and for the optimal
-// direct-mapped cache, versus cache size.
+// direct-mapped cache, versus cache size. It is a view of Figure 4's
+// sweep.
 func Fig05(w *Workloads) Fig05Result {
 	f4 := Fig04(w)
-	return Fig05FromFig04(f4)
-}
-
-// Fig05FromFig04 derives Figure 5 from already-computed Figure 4 curves.
-func Fig05FromFig04(f4 Fig04Result) Fig05Result {
 	return Fig05Result{
 		DE:  metrics.ReductionSeries("dynamic exclusion", f4.DM, f4.DE),
 		OPT: metrics.ReductionSeries("optimal direct-mapped", f4.DM, f4.OPT),

@@ -32,39 +32,39 @@ type HierResult struct {
 	OptL1 float64
 }
 
-// hierSweep runs every strategy over every ratio once; Figures 7, 8, and
-// 9 are views of this sweep.
+// hierSweep runs every strategy over every ratio in one forEachBenchmark
+// pass; Figures 7, 8, and 9 are views of this sweep, which Workloads
+// computes once.
 func hierSweep(w *Workloads) HierResult {
 	res := HierResult{
 		Strategies: []hierarchy.Strategy{
 			hierarchy.Baseline, hierarchy.AssumeHit, hierarchy.AssumeMiss, hierarchy.Hashed,
 		},
 	}
-	for _, st := range res.Strategies {
+	nr := len(HierRatios)
+	avg := forEachBenchmark(w, instrKind, len(res.Strategies)*nr, func(c int, refs []trace.Ref) []float64 {
+		ratio := HierRatios[c%nr]
+		sys := hierarchy.Must(hierarchy.Config{
+			L1:       HierL1,
+			L2:       cache.DM(HierL1.Size*uint64(ratio), HierL1.LineSize),
+			Strategy: res.Strategies[c/nr],
+			// §5: the hashed table is sized so its bits match the swept
+			// L2 capacity ratio; the paper concludes four bits per L1
+			// line suffice.
+			HashedBitsPerLine: ratio,
+		})
+		for _, ref := range refs {
+			sys.Access(ref.Addr)
+		}
+		return []float64{sys.L1Stats().MissRate(), sys.GlobalL2MissRate()}
+	})
+	for s, st := range res.Strategies {
 		l1 := metrics.Series{Name: st.String()}
 		l2 := metrics.Series{Name: st.String()}
-		for _, ratio := range HierRatios {
-			l2geom := cache.DM(HierL1.Size*uint64(ratio), HierL1.LineSize)
-			n := len(w.Names())
-			l1rates, l2rates := make([]float64, n), make([]float64, n)
-			forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
-				sys := hierarchy.Must(hierarchy.Config{
-					L1:       HierL1,
-					L2:       l2geom,
-					Strategy: st,
-					// §5: the hashed table is sized so its bits match the
-					// swept L2 capacity ratio; the paper concludes four
-					// bits per L1 line suffice.
-					HashedBitsPerLine: ratio,
-				})
-				for _, ref := range refs {
-					sys.Access(ref.Addr)
-				}
-				l1rates[i] = sys.L1Stats().MissRate()
-				l2rates[i] = sys.GlobalL2MissRate()
-			})
-			l1.Points = append(l1.Points, metrics.Point{X: float64(ratio), Y: 100 * metrics.Mean(l1rates)})
-			l2.Points = append(l2.Points, metrics.Point{X: float64(ratio), Y: 100 * metrics.Mean(l2rates)})
+		for r, ratio := range HierRatios {
+			c := s*nr + r
+			l1.Points = append(l1.Points, metrics.Point{X: float64(ratio), Y: 100 * avg[2*c]})
+			l2.Points = append(l2.Points, metrics.Point{X: float64(ratio), Y: 100 * avg[2*c+1]})
 		}
 		res.L1 = append(res.L1, l1)
 		res.L2Global = append(res.L2Global, l2)
@@ -77,7 +77,7 @@ func hierSweep(w *Workloads) HierResult {
 type Fig07Result struct{ HierResult }
 
 // Fig07 reproduces Figure 7.
-func Fig07(w *Workloads) Fig07Result { return Fig07Result{hierSweep(w)} }
+func Fig07(w *Workloads) Fig07Result { return Fig07Result{w.hier()} }
 
 // String renders the L1 view of the sweep.
 func (r Fig07Result) String() string {
@@ -109,7 +109,7 @@ func (r Fig07Result) String() string {
 type Fig08Result struct{ HierResult }
 
 // Fig08 reproduces Figure 8.
-func Fig08(w *Workloads) Fig08Result { return Fig08Result{hierSweep(w)} }
+func Fig08(w *Workloads) Fig08Result { return Fig08Result{w.hier()} }
 
 // String renders the L2 view of the sweep.
 func (r Fig08Result) String() string {
@@ -135,7 +135,7 @@ func (r Fig08Result) String() string {
 type Fig09Result struct{ HierResult }
 
 // Fig09 reproduces Figure 9.
-func Fig09(w *Workloads) Fig09Result { return Fig09Result{hierSweep(w)} }
+func Fig09(w *Workloads) Fig09Result { return Fig09Result{w.hier()} }
 
 // String renders the improvement view.
 func (r Fig09Result) String() string {

@@ -7,11 +7,18 @@ import (
 	"testing"
 )
 
-// goldenIDs is the subset of experiments pinned byte-for-byte by the
-// golden file: the single-level studies touched by the policy-registry
-// refactor. The file was generated before the refactor, so a clean diff
-// here proves the spec-built simulators reproduce the hand-built ones.
-var goldenIDs = []string{"sec3", "fig03", "fig11", "fig13", "ablations", "writes"}
+// goldenIDs are the experiments pinned byte-for-byte by the golden
+// file, all 18 of them, rendered in this order on one Workloads. The
+// first six are the single-level studies touched by the policy-registry
+// refactor, generated before it, so a clean diff proves the spec-built
+// simulators reproduce the hand-built ones. The other twelve were
+// generated before the shared sweeps were memoized per Workloads, so a
+// clean diff proves that every view of a sweep computed once (Figures
+// 5, 8 and 9, Amat and Sensitivity's canonical curve) renders what
+// recomputing it did.
+var goldenIDs = []string{"sec3", "fig03", "fig11", "fig13", "ablations", "writes",
+	"fig04", "fig05", "fig07", "fig08", "fig09", "fig12", "fig14", "fig15",
+	"assoc", "amat", "static", "sensitivity"}
 
 // TestGoldenSmall pins the rendered output of the golden experiments at
 // a reduced reference count against testdata/golden_small.txt.

@@ -27,8 +27,9 @@ type SensitivityResult struct {
 var sensitivityOffsets = []int64{0, 1000, 2000}
 
 // Sensitivity runs the Figure 5 reduction sweep across seed-shifted
-// suites. The passed workloads supply the canonical (offset 0) run and
-// the reference count; shifted suites are built fresh.
+// suites. The passed workloads supply the reference count and the
+// canonical (offset 0) curve, a view of their Figure 4 sweep; shifted
+// suites are built fresh.
 func Sensitivity(w *Workloads) SensitivityResult {
 	res := SensitivityResult{Offsets: sensitivityOffsets}
 	for _, off := range res.Offsets {

@@ -31,20 +31,15 @@ func Static(w *Workloads) StaticResult {
 	res.DM, res.DE, res.OPT = avg[0], avg[1], avg[2]
 	// The profile-trained caches are not registry policies; they run
 	// once per benchmark.
-	n := len(w.Names())
-	selfs, stales := make([]float64, n), make([]float64, n)
-	excl, blocks := make([]float64, n), make([]float64, n)
-	forEachBenchmark(w, instrKind, func(i int, refs []trace.Ref) {
+	prof := forEachBenchmark(w, instrKind, 1, func(_ int, refs []trace.Ref) []float64 {
 		// Self profile: trained and evaluated on the full stream.
-		selfs[i], excl[i], blocks[i] = staticRate(refs, refs, res.Geom)
+		self, excl, blocks := staticRate(refs, refs, res.Geom)
 		// Stale profile: trained on the first half, evaluated on the
 		// second (different phases of the program).
-		stales[i], _, _ = staticRate(refs[:len(refs)/2], refs[len(refs)/2:], res.Geom)
+		stale, _, _ := staticRate(refs[:len(refs)/2], refs[len(refs)/2:], res.Geom)
+		return []float64{self, stale, excl, blocks}
 	})
-	res.StaticSelf = metrics.Mean(selfs)
-	res.StaticStale = metrics.Mean(stales)
-	res.AvgExcludedSelf = metrics.Mean(excl)
-	res.AvgBlocksTot = metrics.Mean(blocks)
+	res.StaticSelf, res.StaticStale, res.AvgExcludedSelf, res.AvgBlocksTot = prof[0], prof[1], prof[2], prof[3]
 	return res
 }
 

@@ -63,20 +63,14 @@ func Writes(w *Workloads) WritesResult {
 		}},
 	}
 
-	for _, cfg := range configs {
-		n := len(w.Names())
-		rates, traffic := make([]float64, n), make([]float64, n)
-		forEachBenchmark(w, dataKind, func(i int, refs []trace.Ref) {
-			c := cfg.build()
-			c.RunRefs(refs)
-			rates[i] = c.Stats().MissRate()
-			traffic[i] = 1000 * float64(c.Writes().TrafficWords(lineWords)) / float64(len(refs))
-		})
-		res.Rows = append(res.Rows, WritesRow{
-			Config:       cfg.name,
-			MissRate:     metrics.Mean(rates),
-			TrafficPerKR: metrics.Mean(traffic),
-		})
+	avg := forEachBenchmark(w, dataKind, len(configs), func(c int, refs []trace.Ref) []float64 {
+		wc := configs[c].build()
+		wc.RunRefs(refs)
+		traffic := 1000 * float64(wc.Writes().TrafficWords(lineWords)) / float64(len(refs))
+		return []float64{wc.Stats().MissRate(), traffic}
+	})
+	for c, cfg := range configs {
+		res.Rows = append(res.Rows, WritesRow{Config: cfg.name, MissRate: avg[2*c], TrafficPerKR: avg[2*c+1]})
 	}
 	return res
 }

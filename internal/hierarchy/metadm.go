@@ -15,11 +15,13 @@ type metaDM struct {
 	// taken once here so no reference divides.
 	lineShift uint
 	setMask   uint64
-	sets      [][]metaWay
-	clock     uint64
-	defH      bool // bit given to lines filled without an explicit value
-	stats     cache.Stats
-	extra     L2Extra
+	ways      int
+	// lines is flat and set-major: set s holds lines [s*ways, (s+1)*ways).
+	lines []metaWay
+	clock uint64
+	defH  bool // bit given to lines filled without an explicit value
+	stats cache.Stats
+	extra L2Extra
 }
 
 // metaWay is one line with its metadata.
@@ -42,19 +44,15 @@ type L2Extra struct {
 
 func newMetaDM(geom cache.Geometry, defH bool) *metaDM {
 	lineShift, setMask := cache.IndexShifts(geom)
-	nsets := geom.Sets()
 	ways := geom.WaysPerSet()
-	sets := make([][]metaWay, nsets)
-	backing := make([]metaWay, int(nsets)*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways:ways], backing[ways:]
-	}
-	return &metaDM{lineShift: lineShift, setMask: setMask, sets: sets, defH: defH}
+	return &metaDM{lineShift: lineShift, setMask: setMask, ways: ways,
+		lines: make([]metaWay, int(geom.Sets())*ways), defH: defH}
 }
 
 // find returns block's set and the way index holding block, or -1.
 func (m *metaDM) find(block uint64) (set []metaWay, idx int) {
-	set = m.sets[block&m.setMask]
+	base := int(block&m.setMask) * m.ways
+	set = m.lines[base : base+m.ways : base+m.ways]
 	for i := range set {
 		if set[i].valid && set[i].tag == block {
 			return set, i

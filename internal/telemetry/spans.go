@@ -11,7 +11,9 @@ import (
 // pair, attempt spans under their cell, and checkpoint spans under the
 // run. Events without a span ID (old traces, custom Annotate events)
 // are skipped. A log torn mid-run reconstructs fine: spans still open
-// at the last event are closed there.
+// at the last event are closed there. A run_summary with no run_start
+// (only a hand-made log has one) closes nothing, so such a log has no
+// run span to root a tree.
 func SpansOf(events []Event) ([]obs.Span, error) {
 	var spans []obs.Span
 	open := map[uint64]int{} // span ID -> index into spans, awaiting its close event
@@ -31,15 +33,10 @@ func SpansOf(events []Event) ([]obs.Span, error) {
 			open[ev.Span] = len(spans)
 			spans = append(spans, obs.Span{ID: ev.Span, Kind: obs.KindJob, Name: ev.Note,
 				StartMS: ev.AtMS, DurMS: -1})
-		case EventRunSummary:
+		case EventRunSummary, EventCellFinish:
 			if i, ok := open[ev.Span]; ok {
 				spans[i].DurMS = ev.AtMS - spans[i].StartMS
 				delete(open, ev.Span)
-			} else {
-				// Summary without a start (collector used without Start):
-				// WallMS is the collector's lifetime, which brackets the run.
-				spans = append(spans, obs.Span{ID: ev.Span, Kind: obs.KindJob, Name: ev.Note,
-					StartMS: ev.AtMS - ev.WallMS, DurMS: ev.WallMS})
 			}
 		case EventCellStart:
 			if _, dup := open[ev.Span]; dup {
@@ -48,11 +45,6 @@ func SpansOf(events []Event) ([]obs.Span, error) {
 			open[ev.Span] = len(spans)
 			spans = append(spans, obs.Span{ID: ev.Span, Parent: ev.Parent, Kind: obs.KindCell,
 				Name: ev.Cell, StartMS: ev.AtMS, DurMS: -1})
-		case EventCellFinish:
-			if i, ok := open[ev.Span]; ok {
-				spans[i].DurMS = ev.AtMS - spans[i].StartMS
-				delete(open, ev.Span)
-			}
 		case EventCellAttempt:
 			spans = append(spans, obs.Span{ID: ev.Span, Parent: ev.Parent, Kind: obs.KindAttempt,
 				Name:    fmt.Sprintf("%s attempt %d", ev.Cell, ev.Attempt),

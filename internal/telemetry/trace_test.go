@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -163,5 +164,33 @@ func TestCollectorConcurrentSpans(t *testing.T) {
 	}
 	if cp := obs.CriticalPath(root); len(cp) != 3 {
 		t.Fatalf("critical path has %d spans, want 3 (job -> cell -> attempt)", len(cp))
+	}
+}
+
+// TestSummaryWithoutRunStart summarizes a hand-made log that has cell
+// events and a run_summary but no run_start: it reads and summarizes
+// without error, has no run span, and so prints no critical path.
+func TestSummaryWithoutRunStart(t *testing.T) {
+	log := `{"t":"cell_start","at_ms":1,"span":2,"parent":1,"cell":"gcc/4096/4/dm"}
+{"t":"cell_attempt","at_ms":3,"span":3,"parent":2,"cell":"gcc/4096/4/dm","attempt":1,"outcome":"ok","wall_ms":2}
+{"t":"cell_finish","at_ms":3,"span":2,"parent":1,"cell":"gcc/4096/4/dm","attempt":1,"outcome":"ok","wall_ms":2,"refs":100}
+{"t":"run_summary","at_ms":4,"span":1,"wall_ms":4,"refs":100}
+`
+	events, err := ReadEvents(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := SpansOf(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range spans {
+		if s.Kind == obs.KindJob {
+			t.Errorf("run span %+v reconstructed without a run_start", s)
+		}
+	}
+	sum := SummarizeTrace(events, 10)
+	if !strings.Contains(sum, "cells: 1 finished (1 ok, 0 failed)") || strings.Contains(sum, "critical path") {
+		t.Errorf("summary:\n%s\nwant one finished cell and no critical-path section", sum)
 	}
 }
