@@ -66,6 +66,7 @@ experiments:
 # missing from this list.
 fuzz:
 	go test -fuzz FuzzFSMInvariants -fuzztime 30s ./internal/core/
+	go test -fuzz FuzzQuietSet -fuzztime 30s ./internal/core/
 	go test -fuzz FuzzFileReader -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/trace/
 	go test -fuzz FuzzSimulateDM -fuzztime 30s ./internal/opt/

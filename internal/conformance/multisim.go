@@ -16,9 +16,10 @@ import (
 // variants the column battery runs beyond the family's default spec —
 // the same axes the batch battery covers (stores, sticky depth, the §6
 // register, associativity), since the column kernels reimplement all of
-// them.
+// them. de:sticky=255 has a quiet level past core's run field, so its
+// members below the largest hand every block on.
 var multisimVariants = map[string][]string{
-	"de":   {"de:sticky=3", "de:store=hashed*4", "de:cold=miss,lastline", "de:nolastline"},
+	"de":   {"de:sticky=3", "de:store=hashed*4", "de:cold=miss,lastline", "de:nolastline", "de:sticky=255"},
 	"lru":  {"lru:ways=4", "lru:ways=1"},
 	"fifo": {"fifo:ways=4", "fifo:ways=1", "fifo:ways=8"},
 }

@@ -126,6 +126,16 @@ const (
 	stickyBits = 0xff
 	flagBit    = 1 << 8
 	validBit   = 1 << 9
+
+	// The six bits above validBit hold a set's run, which only
+	// ColumnBlocks keeps: how many of the latest references it ran in
+	// the set were, in a row, to the resident block. The set is quiet
+	// once the run reaches StickyMax+1, so the run can mark quiet sets
+	// only up to StickyMax = maxQuietSticky.
+	runShift       = 10
+	runUnit        = 1 << runShift
+	runBits        = 0xffff &^ (runUnit - 1)
+	maxQuietSticky = runBits>>runShift - 1
 )
 
 // New returns a dynamic exclusion cache.
@@ -294,10 +304,11 @@ func (c *Cache) Decode(dst []uint64, refs []trace.Ref) []uint64 {
 // AccessBlocks is the dynamic-exclusion batch loop. It runs decoded
 // block numbers (past the §6 register) through the FSM in order, as
 // Access does, and records them in Stats and the extras once per call.
-// DE has no inclusion: a sticky bypass keeps a block out of a small
-// cache that a larger one admits, so AccessBlocks returns blocks
-// whole, and every member of a size column runs them all. The hooks
-// are not called: BatchAccess sends a hooked cache through Access.
+// It returns blocks whole: a lone cell ignores the return, and in a
+// size column it is the loop of the largest member, which has no
+// larger member to hand blocks to. The members below the largest run
+// ColumnBlocks. The hooks are not called: BatchAccess sends a hooked
+// cache through Access.
 //
 //dynexcheck:hot
 func (c *Cache) AccessBlocks(blocks []uint64) []uint64 {
@@ -356,6 +367,102 @@ func (c *Cache) AccessBlocks(blocks []uint64) []uint64 {
 	c.stickyDefenses += defenses
 	c.hitLastOverrides += overrides
 	return blocks
+}
+
+// ColumnBlocks is the dynamic-exclusion batch loop of a size column's
+// members below the largest. It runs blocks through the FSM as
+// AccessBlocks does, and returns, compacted to the front, those a
+// larger member still has to see: every block but the ones it settles.
+//
+// DE has no inclusion (a sticky bypass keeps a block out of a small
+// cache that a larger one admits), but a quiet set settles its block:
+// a set whose last StickyMax+1 references were all to one block b.
+// Each reference to a non-resident b either fills it or costs the
+// resident at least one sticky level, so b is resident after at most
+// StickyMax+1 of them. If the last of them filled it, the StickyMax
+// before it each cost one level from the top, and a fill into a set
+// at level 0 sets the hit flag; otherwise a later one hit b. Either
+// way the set holds b at full sticky level with its flag set, whatever
+// the hit-last store answered, and the next reference to b is a hit
+// that changes nothing. A larger member's set for b has seen only
+// references to b since the first of those: all StickyMax+1 of them,
+// which leaves it in the same state, or all but those a member in
+// between settled, which it did from a quiet set, when the larger set
+// already held b that way. So from a quiet member up a reference to b
+// is such a hit, and the column counts it as one for the members it
+// does not reach. StickyMax references are not enough: a resident at
+// full level can defend itself against all of them.
+//
+// The run field of the state word counts the references to the
+// resident block since it was filled or last defended itself, which
+// undercounts the references to b when it entered after defenses; the
+// early-out only fires later. A StickyMax above maxQuietSticky has a
+// quiet level the field cannot hold, and every block is handed on.
+//
+//dynexcheck:hot
+func (c *Cache) ColumnBlocks(blocks []uint64) []uint64 {
+	setMask := c.setMask
+	nsets := setMask + 1
+	tags, state := c.tags[:nsets:nsets], c.state[:nsets:nsets]
+	store := c.store
+	fresh := c.fresh()
+	// The run field holds the top bits of the word, so a set is quiet
+	// exactly when its word reaches quiet. Past maxQuietSticky, quiet
+	// exceeds every word, and a run that wraps is never read.
+	quiet := (uint32(c.stickyMax) + 1) << runShift
+	var hits, defenses, evictions, overrides uint64
+	n := 0
+	for _, block := range blocks {
+		set := block & setMask
+		st := state[set]
+		if st&validBit != 0 && tags[set] == block {
+			hits++
+			if uint32(st) >= quiet {
+				continue
+			}
+			state[set] = fresh | (st&runBits + runUnit)
+			blocks[n] = block
+			n++
+			continue
+		}
+		blocks[n] = block
+		n++
+		if st&validBit == 0 {
+			tags[set] = block
+			state[set] = fresh | runUnit
+			continue
+		}
+		cost := uint16(1)
+		if store.Lookup(block) {
+			cost = 2
+		}
+		if st&stickyBits >= cost {
+			state[set] = (st - cost) &^ runBits
+			defenses++
+			continue
+		}
+		store.Writeback(tags[set], st&flagBit != 0)
+		tags[set] = block
+		if st&stickyBits != 0 {
+			overrides++
+			state[set] = (fresh | runUnit) &^ flagBit
+		} else {
+			state[set] = fresh | runUnit
+		}
+		evictions++
+	}
+	fills := uint64(len(blocks)) - hits - defenses
+	c.stats.Add(cache.Stats{
+		Accesses:  uint64(len(blocks)),
+		Hits:      hits,
+		Misses:    fills + defenses,
+		Fills:     fills,
+		Bypasses:  defenses,
+		Evictions: evictions,
+	})
+	c.stickyDefenses += defenses
+	c.hitLastOverrides += overrides
+	return blocks[:n]
 }
 
 // Contains reports whether addr's block is resident in the cache proper

@@ -56,3 +56,33 @@ func FuzzFSMInvariants(f *testing.F) {
 		}
 	})
 }
+
+// FuzzQuietSet checks the quiet-set fact of TestQuietSetSettles on
+// fuzzed one-set sequences and hit-last answers: sticky picks StickyMax
+// in [1, 8], each byte of seq references one of four blocks, and the
+// store answers the bits of answers in turn, cyclically.
+//
+//	go test -fuzz FuzzQuietSet ./internal/core/
+func FuzzQuietSet(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 1, 1, 1, 0, 0, 0, 2, 0}, []byte{0})
+	f.Add(uint8(1), []byte{0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1}, []byte{0x5a})
+	f.Add(uint8(3), []byte{3, 3, 3, 3, 3, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3}, []byte{0x01, 0xff})
+	f.Fuzz(func(t *testing.T, sticky uint8, seq, answers []byte) {
+		blocks := make([]uint64, len(seq))
+		for i, b := range seq {
+			blocks[i] = uint64(b % 4)
+		}
+		newBits := func() func() bool {
+			i := 0
+			return func() bool {
+				if len(answers) == 0 {
+					return false
+				}
+				bit := answers[i/8%len(answers)]>>(i%8)&1 == 1
+				i++
+				return bit
+			}
+		}
+		checkQuietSet(t, 1+int(sticky%8), blocks, newBits)
+	})
+}

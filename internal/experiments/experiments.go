@@ -178,15 +178,6 @@ func (w *Workloads) Mixed(name string) []trace.Ref {
 	})
 }
 
-// Release drops all cached streams (Sensitivity uses it to bound
-// memory). Concurrent stream readers started before the call keep their
-// slices; later lookups regenerate. Computed sweeps are kept.
-func (w *Workloads) Release() {
-	w.mu.Lock()
-	w.streams = map[streamKey]func() []trace.Ref{}
-	w.mu.Unlock()
-}
-
 // figurePolicies are the three policies of the single-level figures:
 // direct-mapped, dynamic exclusion and the optimal direct-mapped cache,
 // the latter two with the §6 last-line buffer on or off. "Dynamic
@@ -316,24 +307,25 @@ func kb(sizes []uint64) []float64 {
 // hierarchy, the write-policy wrappers and profile-trained static
 // exclusion), and returns each configuration's suite means: sim(c, refs)
 // returns its m measurements of configuration c, and avg[c*m+k] is the
-// mean of measurement k over the benchmarks, taken in suite order. All
-// configs × benchmarks simulations run in one engine.ForEach pass, each
-// booked as one cell with its own index (the collector keys in-flight
-// spans by index), its stream length as the ref count; streams
-// materialize lazily inside the workers. A cancelled run panics with an
-// error wrapping the context error, as runGrid does, so no partial sweep
-// is kept.
-func forEachBenchmark(w *Workloads, kind kindOf, configs int, sim func(c int, refs []trace.Ref) []float64) []float64 {
+// mean of measurement k over the benchmarks, taken in suite order.
+// configs names the configurations. All configs × benchmarks
+// simulations run in one engine.ForEach pass, each booked as one cell
+// labelled "benchmark/configuration", with its own index (the collector
+// keys in-flight spans by index) and its stream length as the ref
+// count; streams materialize lazily inside the workers. A cancelled run
+// panics with an error wrapping the context error, as runGrid does, so
+// no partial sweep is kept.
+func forEachBenchmark(w *Workloads, kind kindOf, configs []string, sim func(c int, refs []trace.Ref) []float64) []float64 {
 	names := w.Names()
 	n := len(names)
-	got := make([][]float64, n*configs) // benchmark-major, as means expects
+	got := make([][]float64, n*len(configs)) // benchmark-major, as means expects
 	err := engine.ForEach(w.cfg.ctx(), len(got), w.cfg.workers(), func(j int) {
 		c, i := j/n, j%n
 		refs := kind(w, names[i])
 		// ForEach bodies bypass the engine's cell bookkeeping; the body
 		// returns no error, so neither does Observe.
-		_ = engine.Observe(w.cfg.Collector, j, names[i], func() (uint64, error) {
-			got[i*configs+c] = sim(c, refs)
+		_ = engine.Observe(w.cfg.Collector, j, names[i]+"/"+configs[c], func() (uint64, error) {
+			got[i*len(configs)+c] = sim(c, refs)
 			return uint64(len(refs)), nil
 		})
 	})

@@ -70,11 +70,6 @@ func TestWorkloadsCaching(t *testing.T) {
 	if len(a) != testRefs {
 		t.Errorf("stream length %d", len(a))
 	}
-	w.Release()
-	c := w.Instr("eqntott")
-	if len(c) != len(a) {
-		t.Error("release broke regeneration")
-	}
 	if len(w.Names()) != 10 {
 		t.Errorf("Names = %v", w.Names())
 	}
@@ -206,12 +201,13 @@ func TestFig03Shape(t *testing.T) {
 	}
 }
 
-// countingCollector tallies finished cells and the references they
-// simulated.
+// countingCollector tallies finished cells, the references they
+// simulated and their labels.
 type countingCollector struct {
-	mu    sync.Mutex
-	cells int
-	refs  uint64
+	mu     sync.Mutex
+	cells  int
+	refs   uint64
+	labels []string
 }
 
 func (c *countingCollector) CellStarted(engine.CellStart)     {}
@@ -221,6 +217,33 @@ func (c *countingCollector) CellFinished(f engine.CellFinish) {
 	defer c.mu.Unlock()
 	c.cells++
 	c.refs += f.Refs
+	c.labels = append(c.labels, f.Label)
+}
+
+// TestBenchmarkCellLabels checks that the simulations forEachBenchmark
+// runs are booked one label per benchmark and configuration, so a
+// report's slowest cells tell the hierarchy's 28 configurations of one
+// benchmark apart, and Writes' three.
+func TestBenchmarkCellLabels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment simulations")
+	}
+	col := &countingCollector{}
+	w := NewWorkloads(Config{Refs: 5_000, Collector: col})
+	Fig07(w)
+	Writes(w)
+	seen := map[string]bool{}
+	for _, label := range col.labels {
+		if seen[label] {
+			t.Errorf("label %q booked twice", label)
+		}
+		seen[label] = true
+	}
+	for _, label := range []string{"fpppp/hashed/L2x4", "spice/direct-mapped, write-back"} {
+		if !seen[label] {
+			t.Errorf("no cell labelled %q", label)
+		}
+	}
 }
 
 // TestFig03ReportsEverySimulation checks that every registry-policy

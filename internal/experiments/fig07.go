@@ -42,7 +42,13 @@ func hierSweep(w *Workloads) HierResult {
 		},
 	}
 	nr := len(HierRatios)
-	avg := forEachBenchmark(w, instrKind, len(res.Strategies)*nr, func(c int, refs []trace.Ref) []float64 {
+	var configs []string
+	for _, st := range res.Strategies {
+		for _, ratio := range HierRatios {
+			configs = append(configs, st.String()+"/L2"+kbx(ratio))
+		}
+	}
+	avg := forEachBenchmark(w, instrKind, configs, func(c int, refs []trace.Ref) []float64 {
 		ratio := HierRatios[c%nr]
 		sys := hierarchy.Must(hierarchy.Config{
 			L1:       HierL1,

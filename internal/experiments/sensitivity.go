@@ -43,9 +43,6 @@ func Sensitivity(w *Workloads) SensitivityResult {
 		curve := f5.DE
 		curve.Name = fmt.Sprintf("seed+%d", off)
 		res.Curves = append(res.Curves, curve)
-		if off != 0 {
-			ws.Release()
-		}
 	}
 	res.Min = metrics.Series{Name: "min"}
 	res.Mean = metrics.Series{Name: "mean"}

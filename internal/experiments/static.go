@@ -31,7 +31,7 @@ func Static(w *Workloads) StaticResult {
 	res.DM, res.DE, res.OPT = avg[0], avg[1], avg[2]
 	// The profile-trained caches are not registry policies; they run
 	// once per benchmark.
-	prof := forEachBenchmark(w, instrKind, 1, func(_ int, refs []trace.Ref) []float64 {
+	prof := forEachBenchmark(w, instrKind, []string{"static"}, func(_ int, refs []trace.Ref) []float64 {
 		// Self profile: trained and evaluated on the full stream.
 		self, excl, blocks := staticRate(refs, refs, res.Geom)
 		// Stale profile: trained on the first half, evaluated on the

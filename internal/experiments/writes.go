@@ -63,7 +63,11 @@ func Writes(w *Workloads) WritesResult {
 		}},
 	}
 
-	avg := forEachBenchmark(w, dataKind, len(configs), func(c int, refs []trace.Ref) []float64 {
+	names := make([]string, len(configs))
+	for c, cfg := range configs {
+		names[c] = cfg.name
+	}
+	avg := forEachBenchmark(w, dataKind, names, func(c int, refs []trace.Ref) []float64 {
 		wc := configs[c].build()
 		wc.RunRefs(refs)
 		traffic := 1000 * float64(wc.Writes().TrafficWords(lineWords)) / float64(len(refs))

@@ -24,13 +24,17 @@
 //     that is MRA at S is MRA at every larger size. FIFO has no
 //     inclusion (a non-MRA hit at S can miss at 2S), so its other hits
 //     go on too;
-//   - dynamic exclusion returns every block. It has no inclusion (a
-//     sticky bypass keeps a block out of a small cache while a larger
-//     one admits it) and no MRA shortcut (a bypassed miss leaves its
-//     set's most recently accessed block out of the cache), so every
-//     member runs every block. The §6 last-line register is
-//     size-independent: the smallest member's Decode runs it once for
-//     the column, and every member gets the same filtered blocks.
+//   - dynamic exclusion has no inclusion (a sticky bypass keeps a block
+//     out of a small cache while a larger one admits it), so its
+//     members below the largest run a second loop, ColumnBlocks, which
+//     returns every block but those whose set is quiet: its last
+//     StickyMax+1 references were all to that block, which then sits
+//     at full sticky level with its hit flag set at this size and every
+//     larger one, where the next reference to it is a hit that changes
+//     nothing. The largest member hands nothing on and runs the
+//     lone-cell loop. The §6 last-line register is size-independent:
+//     the smallest member's Decode runs it once for the column, which
+//     counts its hits for the others.
 //
 // The cascade is exact. Each member's state depends only on the blocks
 // it has processed, and a per-reference walk up the members visits
@@ -48,9 +52,11 @@
 // by the conformance column battery and FuzzColumn
 // (internal/conformance), and by the sweep tests comparing a
 // full-registry sweep's CSV and journal against a per-cell run of the
-// same plan (cmd/dynex-sweep). The premise of the LRU and FIFO
-// early-outs, MRA residency, is checked on its own against plain
-// per-cell simulators of both families (conformance.CheckMRAProperty).
+// same plan (cmd/dynex-sweep). The premises of the early-outs are
+// checked on their own against plain per-cell simulators: MRA residency
+// for LRU and FIFO (conformance.CheckMRAProperty), and the quiet set
+// for dynamic exclusion (internal/core's TestQuietSetSettles and
+// FuzzQuietSet).
 package multisim
 
 import (
@@ -73,6 +79,13 @@ type member interface {
 	AccessBlocks(blocks []uint64) []uint64
 }
 
+// columnLoop is a member with a second batch loop, which the members
+// below a column's largest run: core.Cache's ColumnBlocks settles
+// blocks its AccessBlocks hands on.
+type columnLoop interface {
+	ColumnBlocks(blocks []uint64) []uint64
+}
+
 // Column is a size column: one simulator per member size, driven
 // through its batch loop over one shared decode.
 type Column struct {
@@ -80,6 +93,9 @@ type Column struct {
 	order    []int    // order[k]: member k's position in the constructor's sizes
 	buf      []uint64 // decode buffer, cache.BlockChunk long
 	accesses uint64
+	// registerHits counts the references the smallest member's Decode
+	// served from the §6 register.
+	registerHits uint64
 }
 
 // Validate reports whether a (line, sizes, ways) column is simulable
@@ -152,26 +168,36 @@ func ascendingSizes(sizes []uint64) []int {
 
 // Batch advances every member over the chunk: it decodes a
 // cache.BlockChunk of references at a time through the smallest
-// member's Decode and cascades the blocks up the members.
+// member's Decode and cascades the blocks up the members. A member's
+// position chooses its loop: the members below the largest run their
+// family's column loop where it has one.
 //
 //dynexcheck:hot
 func (c *Column) Batch(refs []trace.Ref) {
 	c.accesses += uint64(len(refs))
+	last := len(c.members) - 1
 	for len(refs) > 0 {
 		n := min(len(refs), len(c.buf))
 		blocks := c.members[0].Decode(c.buf, refs[:n])
-		for _, m := range c.members {
-			blocks = m.AccessBlocks(blocks)
+		c.registerHits += uint64(n - len(blocks))
+		for _, m := range c.members[:last] {
+			if cl, ok := m.(columnLoop); ok {
+				blocks = cl.ColumnBlocks(blocks)
+			} else {
+				blocks = m.AccessBlocks(blocks)
+			}
 		}
+		c.members[last].AccessBlocks(blocks)
 		refs = refs[n:]
 	}
 }
 
 // Outcomes returns cumulative per-member stats and extras in
 // constructor size order. A reference that did not reach member k hit
-// at a smaller member or in the §6 register, and hits at k too, so it
-// counts as one of k's hits, and for dynamic exclusion, whose only
-// skipped references are register hits, as one of its lastline_hits.
+// in the §6 register or was settled by a smaller member, and hits at k
+// too, so it counts as one of k's hits. Every member's lastline_hits
+// are the column's register hits, which the smallest member's Decode
+// counted in its own.
 func (c *Column) Outcomes() []engine.ColumnOutcome {
 	outs := make([]engine.ColumnOutcome, len(c.members))
 	for k, m := range c.members {
@@ -182,7 +208,7 @@ func (c *Column) Outcomes() []engine.ColumnOutcome {
 		extras := cache.SnapshotExtras(m)
 		for i := range extras {
 			if extras[i].Name == "lastline_hits" {
-				extras[i].Value += skip
+				extras[i].Value = c.registerHits
 			}
 		}
 		outs[c.order[k]] = engine.ColumnOutcome{Stats: s, Extras: extras}
